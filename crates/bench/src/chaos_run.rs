@@ -271,11 +271,7 @@ pub fn check_chaos_json(content: &str) -> Vec<String> {
             problems.push(format!("missing key {key}"));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    crate::push_non_finite(content, &mut problems);
     let declared = frag_value(content, "schedules").unwrap_or(0) as usize;
     if declared == 0 {
         problems.push("artifact declares zero schedules".to_string());

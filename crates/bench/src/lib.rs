@@ -92,6 +92,18 @@ pub fn mib(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1u64 << 20) as f64)
 }
 
+/// Appends one problem per non-finite token found in an artifact — the
+/// check every artifact checker runs. The writers clamp non-finite
+/// values and format fixed precision, so any of these tokens means a
+/// regression.
+pub fn push_non_finite(content: &str, problems: &mut Vec<String>) {
+    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
+        if content.contains(bad) {
+            problems.push(format!("artifact contains non-finite token {bad:?}"));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +123,22 @@ mod tests {
             store.put(b"k", b"v").unwrap();
             assert_eq!(store.get(b"k").unwrap(), Some(b"v".to_vec()));
         }
+    }
+
+    #[test]
+    fn non_finite_tokens_are_reported() {
+        let mut problems = Vec::new();
+        push_non_finite("{\"a\":1.5,\"b\":-2}", &mut problems);
+        assert!(problems.is_empty());
+        push_non_finite("{\"a\":NaN,\"b\":inf,\"c\":-inf}", &mut problems);
+        assert_eq!(
+            problems,
+            [
+                "artifact contains non-finite token \"NaN\"",
+                "artifact contains non-finite token \":inf\"",
+                "artifact contains non-finite token \":-inf\"",
+            ]
+        );
     }
 
     #[test]

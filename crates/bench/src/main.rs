@@ -19,7 +19,7 @@
 //!   --metrics-out F  run the observability trajectory, write artifact F
 //!   --metrics-check F  validate a previously written artifact
 //!   --serve-out F    run the latency-under-load sweep, write artifact F
-//!   --serve-check F  validate a previously written serve artifact
+//!   --serve-check F  validate a serve artifact and gate SEALDB's saturation lead
 //!   --scrub-out F    run the durability-under-latent-errors sweep, write artifact F
 //!   --scrub-check F  validate a previously written scrub artifact
 //!   --replicate-out F    run the replication/failover sweep, write artifact F
@@ -251,7 +251,7 @@ fn run_metrics(scale: &BenchScale, metrics: &MetricsArgs) {
             eprintln!("cannot read serve artifact {path}: {e}");
             std::process::exit(1);
         });
-        let problems = bench::serve_run::check_serve_json(&content);
+        let problems = bench::serve_run::gate_serve_json(&content);
         if problems.is_empty() {
             println!("serve artifact {path} is valid");
         } else {

@@ -288,11 +288,7 @@ pub fn check_replicate_json(content: &str) -> Vec<String> {
             ));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    crate::push_non_finite(content, &mut problems);
     let mut saw_quorum = false;
     let mut primary_lost = 0u64;
     let mut groups: BTreeMap<(String, String, u64), Vec<(u64, u64)>> = BTreeMap::new();

@@ -246,11 +246,7 @@ pub fn check_scrub_json(content: &str) -> Vec<String> {
             ));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    crate::push_non_finite(content, &mut problems);
     let mut baseline_lost = 0u64;
     let mut saw_on = false;
     let mut saw_off = false;

@@ -231,10 +231,41 @@ pub fn check_serve_json(content: &str) -> Vec<String> {
             ));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
+    crate::push_non_finite(content, &mut problems);
+    problems
+}
+
+/// The CI gate on the canonical `--serving` artifact: everything
+/// [`check_serve_json`] checks, plus the headline property — SEALDB
+/// sustains strictly the highest saturation throughput of the three
+/// stores. The ranking is a claim at serving scale only (at smoke
+/// scales SMRDB's small static bands can out-serve it), so the schema
+/// check stays usable on its own.
+pub fn gate_serve_json(content: &str) -> Vec<String> {
+    let mut problems = check_serve_json(content);
+    let named: Vec<(&str, f64)> = content
+        .split("{\"store\":\"")
+        .skip(1)
+        .filter_map(|cell| {
+            let (name, rest) = cell.split_once('"')?;
+            let sat = rest.strip_prefix(",\"saturation_ops_per_sec\":")?;
+            let end = sat
+                .find(|c: char| c != '.' && !c.is_ascii_digit())
+                .unwrap_or(sat.len());
+            Some((name, sat[..end].parse().ok()?))
+        })
+        .collect();
+    match named.iter().find(|(name, _)| *name == "SEALDB") {
+        Some(&(_, seal)) => {
+            for &(name, sat) in named.iter().filter(|(name, _)| *name != "SEALDB") {
+                if seal <= sat {
+                    problems.push(format!(
+                        "SEALDB saturation {seal:.3} not highest ({name} {sat:.3})"
+                    ));
+                }
+            }
         }
+        None => problems.push("missing the SEALDB saturation".to_string()),
     }
     problems
 }
@@ -324,5 +355,33 @@ mod tests {
         assert!(check_serve_json(&doc)
             .iter()
             .any(|p| p.contains("non-finite")));
+    }
+
+    #[test]
+    fn gate_rejects_sealdb_not_highest() {
+        let a = artifact();
+        let sat = values(a, "saturation_ops_per_sec");
+        let seal = format!("\"SEALDB\",\"saturation_ops_per_sec\":{:.3}", sat[2]);
+        assert!(a.contains(&seal));
+        let with_seal = |v: f64| {
+            a.replace(
+                &seal,
+                &format!("\"SEALDB\",\"saturation_ops_per_sec\":{v:.3}"),
+            )
+        };
+        let top = sat[0].max(sat[1]);
+        assert!(gate_serve_json(&with_seal(top + 1.0)).is_empty());
+        // A tie with LevelDB is not "strictly highest", nor is anything
+        // below it.
+        for lower in [sat[0], sat[0] - 1.0] {
+            assert!(
+                gate_serve_json(&with_seal(lower))
+                    .iter()
+                    .any(|p| p.contains("SEALDB saturation") && p.contains("LevelDB")),
+                "{lower}"
+            );
+        }
+        // The gate includes the schema check.
+        assert!(!gate_serve_json("{}").is_empty());
     }
 }

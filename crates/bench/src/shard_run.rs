@@ -304,8 +304,9 @@ fn num_values(content: &str, key: &str) -> Vec<f64> {
 
 /// Validates a shard artifact: schema marker, one cell per
 /// [`SHARD_COUNTS`] entry, saturation strictly increasing with shard
-/// count, key placement imbalance within the routing bound, the
-/// migration audit losing zero acked keys, and no NaN/Inf anywhere.
+/// count, key placement imbalance within the routing bound, exactly one
+/// migration cell whose audit lost zero acked keys while moving some,
+/// and no NaN/Inf anywhere.
 /// Returns the list of problems; empty means valid.
 pub fn check_shard_json(content: &str) -> Vec<String> {
     let mut problems = Vec::new();
@@ -343,6 +344,12 @@ pub fn check_shard_json(content: &str) -> Vec<String> {
             ));
         }
     }
+    let migrations = num_values(content, "moved_keys").len();
+    if migrations != 1 {
+        problems.push(format!(
+            "expected exactly one migration cell, found {migrations}"
+        ));
+    }
     match num_values(content, "lost_keys").first() {
         Some(&0.0) => {}
         Some(&lost) => problems.push(format!("migration lost {lost} acked keys")),
@@ -352,11 +359,7 @@ pub fn check_shard_json(content: &str) -> Vec<String> {
         Some(&moved) if moved > 0.0 => {}
         _ => problems.push("migration moved no keys".to_string()),
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    crate::push_non_finite(content, &mut problems);
     problems
 }
 
@@ -422,5 +425,39 @@ mod tests {
             .any(|p| p.contains("strictly")));
         let lossy = a.replace("\"lost_keys\":0", "\"lost_keys\":3");
         assert!(check_shard_json(&lossy).iter().any(|p| p.contains("lost")));
+    }
+
+    #[test]
+    fn checker_rejects_a_migration_that_moved_nothing() {
+        let a = artifact();
+        let moved = num_values(a, "moved_keys")[0];
+        let idle = a.replace(&format!("\"moved_keys\":{moved}"), "\"moved_keys\":0");
+        assert!(check_shard_json(&idle)
+            .iter()
+            .any(|p| p == "migration moved no keys"));
+    }
+
+    #[test]
+    fn checker_rejects_two_migration_cells() {
+        let a = artifact();
+        let start = a.find("\"migration\":").unwrap();
+        let cell = &a[start..a.len() - 2]; // drop the closing "}\n"
+        let doubled = a.replacen(cell, &format!("{cell},{cell}"), 1);
+        assert!(check_shard_json(&doubled)
+            .iter()
+            .any(|p| p.contains("exactly one migration cell")));
+    }
+
+    #[test]
+    fn checker_rejects_three_shard_cells() {
+        let a = artifact();
+        // Drop the 8-shard cell: three cells remain.
+        let last = a.find("{\"shards\":8,").unwrap();
+        let end = a.find("],\"migration\"").unwrap();
+        let three = format!("{}{}", &a[..last - 1], &a[end..]);
+        assert_eq!(num_values(&three, "shards").len(), 3);
+        let problems = check_shard_json(&three);
+        assert!(problems.iter().any(|p| p.contains("shard counts")));
+        assert!(problems.iter().any(|p| p.contains("saturation values")));
     }
 }

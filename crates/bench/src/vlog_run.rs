@@ -300,11 +300,7 @@ pub fn check_vlog_json(content: &str) -> Vec<String> {
             ));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    crate::push_non_finite(content, &mut problems);
     // Headline invariants, mirrored by the CI awk gate.
     for w in WORKLOADS {
         let wa = |v: bool| cell_value(content, w, v, "update_wa");

@@ -5,33 +5,38 @@
 //! deployment looks different: many clients, an offered load that does
 //! not care how fast the store is, a queue in front of the disk, and
 //! background compaction competing with foreground requests. This crate
-//! models that as a discrete-event simulation on the store's *simulated*
-//! clock — no threads, no wall time, so a (config, seed) pair always
+//! models that as a discrete-event simulation on the stores' *simulated*
+//! clocks — no threads, no wall time, so a (config, seed) pair always
 //! produces byte-identical results.
+//!
+//! There is one serving loop, [`serve_stores`]: N store queues behind a
+//! router. [`run_serve`] is its single-store case (N = 1); the shard
+//! router (`seal-shard`) passes its active shards and its hash ring.
 //!
 //! The moving pieces, each borrowed from LevelDB's serving machinery:
 //!
 //! * **Virtual clients** issue YCSB-mix operations either *open-loop*
 //!   (seeded Poisson arrivals at a target rate, [`ArrivalProcess`]) or
 //!   *closed-loop* (wait for completion, think, reissue).
-//! * **Group commit** — writes waiting in the queue behind a serving
+//! * **Group commit** — writes waiting in a queue behind a serving
 //!   write are merged into its batch (`BuildBatchGroup`): one WAL
 //!   append, one sync, one contiguous sequence range for the group.
-//! * **Write backpressure** — the store runs in deferred-compaction
+//! * **Write backpressure** — the stores run in deferred-compaction
 //!   mode, so L0 slowdown/stop triggers and memtable-full stalls hit
 //!   the serving path exactly as they would a real writer, and the
 //!   front-end drives [`sealdb::Store::compact_step`] during idle gaps,
 //!   standing in for the background compaction thread.
+//! * **Degraded mode** — point reads retry device errors with capped
+//!   backoff and are served as misses when the retries run out; a
+//!   client that exhausts its error budget walks away.
 
-use lsm_core::util::rng::XorShift64;
 use lsm_core::{Result, ScrubConfig, StallStats, WriteBatch};
 use sealdb::Store;
 use smr_sim::ObsLayer;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use workloads::distributions::{Distribution, Latest, ScrambledZipfian, Uniform};
-use workloads::ycsb::{Dist, WorkloadSpec};
-use workloads::{ArrivalProcess, InterArrival, RecordGenerator};
+use workloads::ycsb::WorkloadSpec;
+use workloads::{ArrivalProcess, InterArrival, Op, OpDraw, RecordGenerator};
 
 /// Configuration of one serving run.
 #[derive(Clone, Debug)]
@@ -159,15 +164,18 @@ impl LatencySummary {
 }
 
 /// Everything one serving run measured.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServeResult {
-    /// Display name of the store served.
+    /// Display name of the store kind served.
     pub store: &'static str,
+    /// Store queues that served the run (1 for [`run_serve`]).
+    pub shards: usize,
     /// Operations completed.
     pub ops: u64,
-    /// Simulated duration of the serving phase, ns.
+    /// Simulated span of the serving phase, ns: start to the last
+    /// completion on any store.
     pub sim_ns: u64,
-    /// Completed operations per simulated second.
+    /// Completed operations per simulated second (aggregate).
     pub throughput_ops_per_sec: f64,
     /// End-to-end latency (arrival → completion): queueing + service.
     pub latency: LatencySummary,
@@ -177,6 +185,12 @@ pub struct ServeResult {
     pub queue_depth_max: usize,
     /// Mean queue depth over service starts.
     pub queue_depth_mean: f64,
+    /// Operations served by each store queue.
+    pub per_shard_ops: Vec<u64>,
+    /// `Store::write` calls issued by each store queue.
+    pub per_shard_write_calls: Vec<u64>,
+    /// Deepest queue observed at a service start, per store queue.
+    pub per_shard_queue_depth_max: Vec<usize>,
     /// `Store::write` calls issued (each is one WAL append + sync).
     pub write_calls: u64,
     /// Write operations carried by those calls (≥ `write_calls`; the
@@ -189,7 +203,7 @@ pub struct ServeResult {
     /// committed alone (merging must not overshoot the cap; a lone batch
     /// bigger than the cap still commits).
     pub max_group_wire: usize,
-    /// Write stalls during the serving phase only.
+    /// Write stalls during the serving phase only, summed over stores.
     pub stalls: StallStats,
     /// Background compaction steps run in idle gaps.
     pub idle_compactions: u64,
@@ -211,6 +225,9 @@ pub struct ServeResult {
     pub abandoned_ops: u64,
     /// Clients that gave up before issuing all their operations.
     pub clients_abandoned: u64,
+    /// Keyspace size after the run (preload plus serve-phase inserts) —
+    /// the audit horizon.
+    pub records_after: u64,
 }
 
 impl ServeResult {
@@ -222,82 +239,40 @@ impl ServeResult {
             self.write_ops as f64 / self.write_calls as f64
         }
     }
+
+    /// Max-over-mean of per-queue served operations (queues that served
+    /// nothing are left out).
+    pub fn ops_imbalance(&self) -> f64 {
+        let active: Vec<u64> = self
+            .per_shard_ops
+            .iter()
+            .copied()
+            .filter(|&n| n > 0)
+            .collect();
+        imbalance(&active)
+    }
 }
 
-/// One operation, decided at issue time so queued writes are visible to
-/// group commit.
-enum Op {
-    Get(Vec<u8>),
-    Write(WriteBatch),
-    Scan(Vec<u8>, usize),
-    Rmw(Vec<u8>, Vec<u8>),
+/// Max-over-mean of a count vector — the load-imbalance figure the
+/// BENCH_pr7 artifact gates on. Empty or all-zero input reads 1.0.
+pub fn imbalance(counts: &[u64]) -> f64 {
+    if counts.is_empty() {
+        return 1.0;
+    }
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 1.0;
+    }
+    let mean = total as f64 / counts.len() as f64;
+    let max = *counts.iter().max().expect("non-empty") as f64;
+    max / mean
 }
 
-/// A request sitting in the server's queue.
+/// A request sitting in a store's queue.
 struct Request {
     arrival_ns: u64,
     client: usize,
     op: Op,
-}
-
-/// Shared operation-drawing state, mirroring `workloads::ycsb::run` so a
-/// serve run and a db_bench run draw from the same op/key streams.
-struct OpDraw<'a> {
-    gen: &'a RecordGenerator,
-    spec: WorkloadSpec,
-    op_rng: XorShift64,
-    key_rng: XorShift64,
-    dist: Box<dyn Distribution>,
-    n_now: u64,
-}
-
-impl<'a> OpDraw<'a> {
-    fn new(gen: &'a RecordGenerator, spec: WorkloadSpec, record_count: u64, seed: u64) -> Self {
-        let dist: Box<dyn Distribution> = match spec.dist {
-            Dist::Uniform => Box::new(Uniform),
-            Dist::Zipfian => Box::new(ScrambledZipfian::new(record_count)),
-            Dist::Latest => Box::new(Latest::new(record_count * 2)),
-        };
-        OpDraw {
-            gen,
-            spec,
-            op_rng: XorShift64::new(seed),
-            key_rng: XorShift64::new(seed ^ 0xDEADBEEF),
-            dist,
-            n_now: record_count,
-        }
-    }
-
-    fn draw(&mut self) -> Op {
-        let r = (self.op_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let m = &self.spec.mix;
-        if r < m.read {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            Op::Get(self.gen.key(i))
-        } else if r < m.read + m.update {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            let mut b = WriteBatch::new();
-            b.put(&self.gen.key(i), &self.gen.value(i));
-            Op::Write(b)
-        } else if r < m.read + m.update + m.insert {
-            let i = self.n_now;
-            self.n_now += 1;
-            let mut b = WriteBatch::new();
-            b.put(&self.gen.key(i), &self.gen.value(i));
-            Op::Write(b)
-        } else if r < m.read + m.update + m.insert + m.scan {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            let len = 1 + (self.key_rng.next_below(self.spec.max_scan_len as u64) as usize);
-            Op::Scan(self.gen.key(i), len)
-        } else {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            Op::Rmw(self.gen.key(i), self.gen.value(i))
-        }
-    }
-}
-
-fn advance_clock(store: &mut Store, ns: u64) {
-    store.db.ctx().lock().fs.disk_mut().advance_ns(ns);
 }
 
 /// What the degraded read path observed for one point read.
@@ -314,8 +289,7 @@ struct ReadOutcome {
 /// never overshoots the cap; the merged size charges `next` its body
 /// bytes only (the group shares the leader's 12-byte header). A head
 /// batch already at or past the cap simply admits no followers — it
-/// still commits, alone. Shared by `seal-front`'s serve loop and the
-/// shard router's per-shard group commit.
+/// still commits, alone.
 pub fn group_fits(head: &WriteBatch, next: &WriteBatch, cap: usize) -> bool {
     head.byte_size() + next.body_bytes() <= cap
 }
@@ -407,10 +381,9 @@ fn degraded_get(store: &mut Store, cfg: &ServeConfig, key: &[u8]) -> ReadOutcome
                 }
             }
             Err(_) if attempt < cfg.read_retries => {
-                advance_clock(
-                    store,
-                    bounded_backoff_ns(cfg.retry_backoff_ns, cfg.retry_backoff_max_ns, attempt),
-                );
+                let wait =
+                    bounded_backoff_ns(cfg.retry_backoff_ns, cfg.retry_backoff_max_ns, attempt);
+                store.advance_clock_to(store.clock_ns() + wait);
                 attempt += 1;
             }
             Err(_) => {
@@ -424,28 +397,151 @@ fn degraded_get(store: &mut Store, cfg: &ServeConfig, key: &[u8]) -> ReadOutcome
     }
 }
 
+/// Serves one point read through [`degraded_get`] and tallies it;
+/// returns the failure events it charges the client (0 or 1).
+fn tally_read(store: &mut Store, cfg: &ServeConfig, key: &[u8], r: &mut ServeResult) -> u32 {
+    let out = degraded_get(store, cfg, key);
+    r.degraded_reads += u64::from(out.retried);
+    r.failed_reads += u64::from(out.failed);
+    if out.value.is_some() {
+        r.hits += 1;
+    } else {
+        r.misses += 1;
+    }
+    u32::from(out.failed)
+}
+
+/// Background compaction in an idle gap: steps until the store's clock
+/// reaches `until` or the tree is within budget. A step may overshoot
+/// `until` — the next request then queues behind it, exactly like a
+/// foreground write behind a busy disk.
+fn compact_until(
+    store: &mut Store,
+    cfg: &ServeConfig,
+    until: u64,
+    r: &mut ServeResult,
+) -> Result<()> {
+    if cfg.idle_compaction {
+        while store.clock_ns() < until && store.needs_compaction() {
+            if !store.compact_step()? {
+                break;
+            }
+            r.idle_compactions += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Everything a store does while every queue waits for the next
+/// arrival at `until`; nothing if that arrival is already due.
+fn idle_work(store: &mut Store, cfg: &ServeConfig, until: u64, r: &mut ServeResult) -> Result<()> {
+    if store.clock_ns() >= until {
+        return Ok(());
+    }
+    // The value log's cooperative GC gets the first slice of the gap:
+    // one budgeted step, relocating live values and recycling dead
+    // segments. It runs *before* compaction because compaction is
+    // greedy (it eats the gap until the next arrival), while a budgeted
+    // GC step is bounded — ordered the other way, update-heavy traffic
+    // starves the value log and dead segments pile up.
+    if cfg.idle_vlog_gc_bytes > 0 && store.vlog_gc_pending() {
+        store.vlog_gc_step(cfg.idle_vlog_gc_bytes)?;
+        r.vlog_gc_steps += 1;
+    }
+    compact_until(store, cfg, until, r)?;
+    // Spare idle time also advances the scrubber: one budgeted step per
+    // gap, so repair makes progress under load without starving
+    // foreground requests (it may overshoot, same deal as compaction).
+    if cfg.idle_scrub_bytes > 0 && store.clock_ns() < until {
+        let scrub_cfg = ScrubConfig {
+            bytes_per_step: cfg.idle_scrub_bytes,
+            repair: true,
+        };
+        r.repaired_in_flight += store.scrub_step(&scrub_cfg)?.files_repaired;
+    }
+    Ok(())
+}
+
 /// Serves `cfg.total_ops` operations against a preloaded store and
-/// reports latency under the offered load.
-///
-/// The store is flipped into deferred-compaction (serve) mode for the
-/// duration and restored afterwards, so preload and any surrounding
-/// benchmark phases keep the original quiesce-on-write behavior.
+/// reports latency under the offered load — [`serve_stores`] with one
+/// store. The run is also published into the store's observability
+/// bundle under [`ObsLayer::Frontend`].
 pub fn run_serve(
     store: &mut Store,
     gen: &RecordGenerator,
     cfg: &ServeConfig,
 ) -> Result<ServeResult> {
+    let (result, latencies, queue_delays) = serve_deferred(&mut [&mut *store], |_| 0, gen, cfg)?;
+    publish_obs(store, &result, &latencies, &queue_delays);
+    Ok(result)
+}
+
+/// Serves `cfg.total_ops` operations against N preloaded stores, one
+/// request queue each; `route` maps an operation's key to the index of
+/// the store that serves it. Throughput is aggregate: completed
+/// operations over the span from the start (the latest store clock) to
+/// the last completion on any store.
+///
+/// Every store is flipped into deferred-compaction (serve) mode for the
+/// duration and restored afterwards, so preload and any surrounding
+/// benchmark phases keep the original quiesce-on-write behaviour.
+/// Nothing is published to the stores' observability bundles; callers
+/// publish the view their layer owns.
+pub fn serve_stores(
+    stores: &mut [&mut Store],
+    route: impl Fn(&[u8]) -> usize,
+    gen: &RecordGenerator,
+    cfg: &ServeConfig,
+) -> Result<ServeResult> {
+    serve_deferred(stores, route, gen, cfg).map(|(result, _, _)| result)
+}
+
+/// [`serve_loop`] bracketed by deferred-compaction mode.
+fn serve_deferred(
+    stores: &mut [&mut Store],
+    route: impl Fn(&[u8]) -> usize,
+    gen: &RecordGenerator,
+    cfg: &ServeConfig,
+) -> Result<(ServeResult, Vec<u64>, Vec<u64>)> {
     assert!(cfg.clients > 0, "serve needs at least one client");
-    store.set_deferred_compaction(true);
-    let result = serve_loop(store, gen, cfg);
-    store.set_deferred_compaction(false);
+    assert!(!stores.is_empty(), "serve needs at least one store");
+    for store in stores.iter_mut() {
+        store.set_deferred_compaction(true);
+    }
+    let result = serve_loop(stores, route, gen, cfg);
+    for store in stores.iter_mut() {
+        store.set_deferred_compaction(false);
+    }
     result
 }
 
-fn serve_loop(store: &mut Store, gen: &RecordGenerator, cfg: &ServeConfig) -> Result<ServeResult> {
-    let start = store.clock_ns();
-    let stalls_before = store.stall_stats();
+/// The discrete-event loop. Returns the result plus its exact latency
+/// and queue-delay samples (sorted).
+///
+/// The next event is always the earliest of: the next client arrival,
+/// or the store that can begin serving its queue head soonest — a
+/// store is ready at max(its disk clock, the head's arrival), ties
+/// broken by store index. Arrivals are admitted (drawn, routed,
+/// queued) up to that service instant, so an admitted write is visible
+/// to the group commit it queues behind.
+fn serve_loop(
+    stores: &mut [&mut Store],
+    route: impl Fn(&[u8]) -> usize,
+    gen: &RecordGenerator,
+    cfg: &ServeConfig,
+) -> Result<(ServeResult, Vec<u64>, Vec<u64>)> {
+    let n = stores.len();
+    let start = stores.iter().map(|s| s.clock_ns()).max().expect("stores");
+    let stalls_before: Vec<StallStats> = stores.iter().map(|s| s.stall_stats()).collect();
     let mut draw = OpDraw::new(gen, cfg.spec, cfg.record_count, cfg.seed);
+    let mut r = ServeResult {
+        store: stores[0].name(),
+        shards: n,
+        per_shard_ops: vec![0; n],
+        per_shard_write_calls: vec![0; n],
+        per_shard_queue_depth_max: vec![0; n],
+        ..ServeResult::default()
+    };
 
     // Per-client traffic state: gap generator and unissued-op quota.
     let mut gaps: Vec<InterArrival> = (0..cfg.clients)
@@ -460,8 +556,8 @@ fn serve_loop(store: &mut Store, gen: &RecordGenerator, cfg: &ServeConfig) -> Re
     };
     let open_loop = matches!(cfg.arrival, ArrivalProcess::OpenLoopPoisson { .. });
 
-    // Future arrivals, ordered by (time, admission index) — the index
-    // breaks ties deterministically.
+    // Future arrivals, ordered by (time, admission index, client) — the
+    // admission index breaks ties deterministically.
     let mut arrivals: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
     let mut next_idx = 0u64;
     for c in 0..cfg.clients {
@@ -478,186 +574,134 @@ fn serve_loop(store: &mut Store, gen: &RecordGenerator, cfg: &ServeConfig) -> Re
         remaining[c] -= 1;
     }
 
-    let mut pending: VecDeque<Request> = VecDeque::new();
+    let mut pending: Vec<VecDeque<Request>> = (0..n).map(|_| VecDeque::new()).collect();
     let mut latencies: Vec<u64> = Vec::with_capacity(cfg.total_ops as usize);
     let mut queue_delays: Vec<u64> = Vec::with_capacity(cfg.total_ops as usize);
-    let mut depth_max = 0usize;
     let mut depth_sum = 0u64;
-    let mut depth_samples = 0u64;
-    let mut write_calls = 0u64;
-    let mut write_ops = 0u64;
-    let mut max_group_len = 0usize;
-    let mut max_group_wire = 0usize;
-    let mut idle_compactions = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut completed = 0u64;
-    let mut degraded_reads = 0u64;
-    let mut failed_reads = 0u64;
-    let mut repaired_in_flight = 0u64;
-    let mut vlog_gc_steps = 0u64;
-    let mut abandoned_ops = 0u64;
-    let mut clients_abandoned = 0u64;
+    let mut services = 0u64;
+    let mut last_done = start;
     // Per-client failed-op accounting; each op charges at most one
     // unit of budget no matter how many points it failed at.
     let mut budget = ClientBudget::new(cfg.clients, cfg.client_error_budget);
 
-    while completed + abandoned_ops < cfg.total_ops {
-        // Admit every arrival at or before the current clock. Open-loop
-        // clients immediately schedule their next arrival (the offered
-        // load ignores completions); closed-loop clients reschedule at
-        // completion time below.
-        let now = store.clock_ns();
-        while let Some(&Reverse((t, _, c))) = arrivals.peek() {
-            if t > now {
-                break;
-            }
-            arrivals.pop();
-            pending.push_back(Request {
-                arrival_ns: t,
-                client: c,
-                op: draw.draw(),
-            });
-            if open_loop && remaining[c] > 0 {
-                arrivals.push(Reverse((t + gaps[c].next_gap_ns(), next_idx, c)));
-                next_idx += 1;
-                remaining[c] -= 1;
-            }
-        }
+    while r.ops + r.abandoned_ops < cfg.total_ops {
+        let next_service: Option<(u64, usize)> = (0..n)
+            .filter_map(|s| {
+                let head = pending[s].front()?;
+                Some((stores[s].clock_ns().max(head.arrival_ns), s))
+            })
+            .min();
 
-        if pending.is_empty() {
-            // Idle until the next arrival: spend the gap on background
-            // compaction (the stand-in for LevelDB's compaction thread
-            // sharing the disk), then advance the clock the rest of the
-            // way. A compaction may overshoot the arrival — then the
-            // request queues behind it, exactly like a foreground write
-            // behind a busy disk.
-            let Some(&Reverse((t, _, _))) = arrivals.peek() else {
-                break;
+        // Admit every arrival due at or before the next service (or,
+        // with every queue empty, at the next arrival instant). Open-
+        // loop clients immediately schedule their next arrival (the
+        // offered load ignores completions); closed-loop clients
+        // reschedule at completion time below.
+        if let Some(&Reverse((t_a, _, _))) = arrivals.peek() {
+            let horizon = match next_service {
+                Some((t_s, _)) => t_s,
+                None => {
+                    // Every queue idle until the next arrival: spend the
+                    // gap on background work, store by store.
+                    for store in stores.iter_mut() {
+                        idle_work(store, cfg, t_a, &mut r)?;
+                    }
+                    t_a
+                }
             };
-            // The value log's cooperative GC gets the first slice of the
-            // gap: one budgeted step, relocating live values and
-            // recycling dead segments. It runs *before* the compaction
-            // loop because that loop is greedy (it eats the gap until
-            // the next arrival), while a budgeted GC step is bounded —
-            // ordered the other way, update-heavy traffic starves the
-            // value log and dead segments pile up.
-            if cfg.idle_vlog_gc_bytes > 0 && store.vlog_gc_pending() {
-                store.vlog_gc_step(cfg.idle_vlog_gc_bytes)?;
-                vlog_gc_steps += 1;
-            }
-            if cfg.idle_compaction {
-                while store.clock_ns() < t && store.needs_compaction() {
-                    if !store.compact_step()? {
+            if t_a <= horizon {
+                while let Some(&Reverse((t, _, c))) = arrivals.peek() {
+                    if t > horizon {
                         break;
                     }
-                    idle_compactions += 1;
+                    arrivals.pop();
+                    let op = draw.draw();
+                    pending[route(op.key())].push_back(Request {
+                        arrival_ns: t,
+                        client: c,
+                        op,
+                    });
+                    if open_loop && remaining[c] > 0 {
+                        arrivals.push(Reverse((t + gaps[c].next_gap_ns(), next_idx, c)));
+                        next_idx += 1;
+                        remaining[c] -= 1;
+                    }
                 }
+                continue; // recompute the next service with the new queues
             }
-            // Spare idle time also advances the scrubber: one budgeted
-            // step per gap, so repair makes progress under load without
-            // starving foreground requests (it may overshoot the next
-            // arrival, which then queues — same deal as compaction).
-            if cfg.idle_scrub_bytes > 0 && store.clock_ns() < t {
-                let scrub_cfg = ScrubConfig {
-                    bytes_per_step: cfg.idle_scrub_bytes,
-                    repair: true,
-                };
-                repaired_in_flight += store.scrub_step(&scrub_cfg)?.files_repaired;
-            }
-            let now = store.clock_ns();
-            if now < t {
-                advance_clock(store, t - now);
-            }
-            continue;
         }
 
-        // Serve the head request; a write absorbs queued writes behind
-        // it (group commit).
-        depth_max = depth_max.max(pending.len());
-        depth_sum += pending.len() as u64;
-        depth_samples += 1;
+        let Some((_, s)) = next_service else {
+            break; // no pending work and no arrivals left
+        };
+        let store = &mut *stores[s];
+        let queue = &mut pending[s];
+
+        // An idle gap before this store's head arrived (other stores
+        // kept serving): compact, then let the clock catch up.
+        let head_arrival = queue.front().expect("non-empty").arrival_ns;
+        compact_until(store, cfg, head_arrival, &mut r)?;
+        store.advance_clock_to(head_arrival);
+
+        // Serve the head request; a write absorbs the queued writes
+        // behind it (group commit) that had arrived by the service
+        // start — one admitted under a later horizon has not.
+        r.per_shard_queue_depth_max[s] = r.per_shard_queue_depth_max[s].max(queue.len());
+        depth_sum += queue.len() as u64;
+        services += 1;
         let service_start = store.clock_ns();
-        let head = pending.pop_front().expect("non-empty queue");
+        let head = queue.pop_front().expect("non-empty queue");
         let head_client = head.client;
         let mut members: Vec<(u64, usize)> = vec![(head.arrival_ns, head.client)];
         let mut op_failure_events = 0u32;
         match head.op {
             Op::Write(mut batch) => {
-                loop {
-                    let fits = match pending.front() {
-                        Some(next) => match &next.op {
-                            Op::Write(b) => group_fits(&batch, b, cfg.max_group_bytes),
-                            _ => false,
-                        },
-                        None => false,
-                    };
+                while let Some(next) = queue.front() {
+                    let fits = next.arrival_ns <= service_start
+                        && matches!(&next.op, Op::Write(b) if group_fits(&batch, b, cfg.max_group_bytes));
                     if !fits {
                         break;
                     }
-                    let next = pending.pop_front().expect("checked front");
+                    let next = queue.pop_front().expect("checked front");
                     let Op::Write(b) = next.op else {
                         unreachable!("checked write")
                     };
                     batch.append(&b);
                     members.push((next.arrival_ns, next.client));
                 }
-                write_calls += 1;
-                write_ops += members.len() as u64;
-                max_group_len = max_group_len.max(members.len());
-                max_group_wire = max_group_wire.max(batch.byte_size());
+                r.write_calls += 1;
+                r.per_shard_write_calls[s] += 1;
+                r.write_ops += members.len() as u64;
+                r.max_group_len = r.max_group_len.max(members.len());
+                r.max_group_wire = r.max_group_wire.max(batch.byte_size());
                 store.write(batch)?;
             }
-            Op::Get(key) => {
-                let out = degraded_get(store, cfg, &key);
-                if out.retried {
-                    degraded_reads += 1;
-                }
-                if out.failed {
-                    failed_reads += 1;
-                    op_failure_events += 1;
-                }
-                if out.value.is_some() {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
+            Op::Get(key) => op_failure_events = tally_read(store, cfg, &key, &mut r),
             Op::Scan(key, len) => {
+                // A store-local scan: the routed store's range.
                 store.scan(&key, len)?;
             }
             Op::Rmw(key, value) => {
-                let out = degraded_get(store, cfg, &key);
-                if out.retried {
-                    degraded_reads += 1;
-                }
-                if out.failed {
-                    failed_reads += 1;
-                    op_failure_events += 1;
-                }
-                if out.value.is_some() {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
+                op_failure_events = tally_read(store, cfg, &key, &mut r);
                 store.put(&key, &value)?;
             }
         }
         // A client that has blown its error budget walks away: whatever
         // it had not yet issued is abandoned, not served. Checked before
         // completion bookkeeping so a closed-loop client that just gave
-        // up does not reissue. The accountant charges the op at most
-        // once however many points it failed at.
+        // up does not reissue.
         if budget.note_op(head_client, op_failure_events) {
-            clients_abandoned += 1;
-            abandoned_ops += remaining[head_client];
+            r.clients_abandoned += 1;
+            r.abandoned_ops += remaining[head_client];
             remaining[head_client] = 0;
         }
         let done = store.clock_ns();
+        last_done = last_done.max(done);
+        r.per_shard_ops[s] += members.len() as u64;
         for &(arrival, client) in &members {
             latencies.push(done - arrival);
             queue_delays.push(service_start - arrival);
-            completed += 1;
+            r.ops += 1;
             if !open_loop && remaining[client] > 0 {
                 arrivals.push(Reverse((
                     done + gaps[client].next_gap_ns(),
@@ -670,45 +714,30 @@ fn serve_loop(store: &mut Store, gen: &RecordGenerator, cfg: &ServeConfig) -> Re
         }
     }
 
-    let sim_ns = store.clock_ns() - start;
-    let stalls = store.stall_stats().delta_since(&stalls_before);
-    let latency = LatencySummary::from_samples(&mut latencies);
-    let queue_delay = LatencySummary::from_samples(&mut queue_delays);
-    let queue_depth_mean = if depth_samples == 0 {
+    r.sim_ns = last_done - start;
+    r.throughput_ops_per_sec = if r.sim_ns == 0 {
         0.0
     } else {
-        depth_sum as f64 / depth_samples as f64
+        r.ops as f64 * 1e9 / r.sim_ns as f64
     };
-    let result = ServeResult {
-        store: store.name(),
-        ops: completed,
-        sim_ns,
-        throughput_ops_per_sec: if sim_ns == 0 {
-            0.0
-        } else {
-            completed as f64 * 1e9 / sim_ns as f64
-        },
-        latency,
-        queue_delay,
-        queue_depth_max: depth_max,
-        queue_depth_mean,
-        write_calls,
-        write_ops,
-        max_group_len,
-        max_group_wire,
-        stalls,
-        idle_compactions,
-        hits,
-        misses,
-        degraded_reads,
-        failed_reads,
-        repaired_in_flight,
-        vlog_gc_steps,
-        abandoned_ops,
-        clients_abandoned,
+    r.latency = LatencySummary::from_samples(&mut latencies);
+    r.queue_delay = LatencySummary::from_samples(&mut queue_delays);
+    r.queue_depth_max = r
+        .per_shard_queue_depth_max
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(0);
+    r.queue_depth_mean = if services == 0 {
+        0.0
+    } else {
+        depth_sum as f64 / services as f64
     };
-    publish_obs(store, &result, &latencies, &queue_delays);
-    Ok(result)
+    for (store, before) in stores.iter().zip(&stalls_before) {
+        r.stalls += store.stall_stats().delta_since(before);
+    }
+    r.records_after = draw.records();
+    Ok((r, latencies, queue_delays))
 }
 
 /// Mirrors the run into the store's observability bundle under the
@@ -1231,6 +1260,40 @@ mod tests {
             // GC relocations must not have broken any pointer.
             for i in 0..n {
                 assert!(store.get(&gen.key(i)).unwrap().is_some(), "key {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn idle_gc_runs_only_in_real_gaps() {
+        // One closed-loop client with zero think time re-issues at its
+        // completion instant: the next arrival is always already due,
+        // so there is no idle gap and no idle GC step may run, however
+        // much garbage the updates leave. With think time, gaps open
+        // and the GC runs.
+        let gen = RecordGenerator::new(16, 600, 1);
+        let n = 400u64;
+        for (think_ns, gaps) in [(0, false), (40_000_000, true)] {
+            let params = sealdb::VlogParams {
+                segment_bytes: 16 << 10,
+                value_threshold: 256,
+                ..Default::default()
+            };
+            let mut store = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
+                .with_vlog(params)
+                .build()
+                .unwrap();
+            fill_random(&mut store, &gen, n, 3).unwrap();
+            let mut spec = WorkloadSpec::a();
+            spec.mix.read = 0.0;
+            spec.mix.update = 1.0;
+            let mut cfg =
+                ServeConfig::new(spec, ArrivalProcess::ClosedLoop { think_ns }, 1, 600, n);
+            cfg.idle_vlog_gc_bytes = 32 << 10;
+            let r = run_serve(&mut store, &gen, &cfg).unwrap();
+            assert_eq!(r.vlog_gc_steps > 0, gaps, "think {think_ns} ns");
+            if !gaps {
+                assert!(store.vlog_gc_pending(), "the updates must leave garbage");
             }
         }
     }

@@ -153,6 +153,18 @@ impl StallStats {
     }
 }
 
+impl std::ops::AddAssign for StallStats {
+    /// Field-wise sum — rolls several stores' stalls into one figure.
+    fn add_assign(&mut self, o: StallStats) {
+        self.slowdown_count += o.slowdown_count;
+        self.slowdown_ns += o.slowdown_ns;
+        self.stop_count += o.stop_count;
+        self.stop_ns += o.stop_ns;
+        self.memtable_count += o.memtable_count;
+        self.memtable_ns += o.memtable_ns;
+    }
+}
+
 /// A pinned read point; obtain via [`DbCore::snapshot`] and return via
 /// [`DbCore::release_snapshot`].
 #[derive(Debug)]

@@ -846,6 +846,15 @@ impl Store {
         self.db.clock_ns()
     }
 
+    /// Advances the disk clock to at least `t_ns` without I/O — an idle
+    /// gap, a backoff wait, or a catch-up to another clock's frontier.
+    pub fn advance_clock_to(&mut self, t_ns: u64) {
+        let c = self.clock_ns();
+        if t_ns > c {
+            self.db.ctx().lock().fs.disk_mut().advance_ns(t_ns - c);
+        }
+    }
+
     /// Enables or disables physical-placement tracing.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.db

@@ -12,9 +12,8 @@
 //!   count, not luck.
 //! * **Serving** — [`serve`] drives a multi-client workload through
 //!   per-shard request queues with LevelDB-style group commit per
-//!   shard (sharing `seal-front`'s cap semantics via
-//!   [`seal_front::group_fits`]), choosing the next event by
-//!   `(time, admission index, shard)` so ties break deterministically.
+//!   shard: it hands the active shards and the ring's router to
+//!   `seal-front`'s one serving loop ([`seal_front::serve_stores`]).
 //! * **Migration** — band-granular split of the hottest shard (chosen
 //!   from the per-shard observability gauges) and merge of a retiring
 //!   shard, moving keys in band-sized batches with a full audit trail.
@@ -29,6 +28,7 @@ mod serve;
 
 pub use migrate::{MigrationKind, MigrationReport};
 pub use ring::{fnv1a64, HashRing};
+pub use seal_front::imbalance;
 pub use serve::{serve, ClusterServeConfig, ClusterServeResult};
 
 use lsm_core::{Error, Result};
@@ -181,21 +181,6 @@ impl RecoverySummary {
     }
 }
 
-/// Max-over-mean of a count vector — the load-imbalance figure the
-/// BENCH_pr7 artifact gates on. Empty or all-zero input reads 1.0.
-pub fn imbalance(counts: &[u64]) -> f64 {
-    if counts.is_empty() {
-        return 1.0;
-    }
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / counts.len() as f64;
-    let max = *counts.iter().max().expect("non-empty") as f64;
-    max / mean
-}
-
 /// N independent store shards behind a consistent-hash router, on one
 /// deterministic simulated timeline.
 #[derive(Debug)]
@@ -267,7 +252,7 @@ impl ShardCluster {
         self.ring.route(key)
     }
 
-    /// Direct access to shard `idx`'s store (tests and the serve loop).
+    /// Direct access to shard `idx`'s store.
     pub fn store_mut(&mut self, idx: usize) -> &mut Store {
         &mut self.shards[idx].store
     }
@@ -286,15 +271,6 @@ impl ShardCluster {
         Ok(())
     }
 
-    /// Advances shard `idx`'s disk clock to at least `t_ns`.
-    pub(crate) fn sync_shard_clock(&mut self, idx: usize, t_ns: u64) {
-        let store = &mut self.shards[idx].store;
-        let c = store.clock_ns();
-        if t_ns > c {
-            store.db.ctx().lock().fs.disk_mut().advance_ns(t_ns - c);
-        }
-    }
-
     /// Syncs every active shard forward to the cluster frontier and
     /// returns that start time — the prologue of cluster-wide phases.
     pub(crate) fn sync_all(&mut self) -> u64 {
@@ -303,7 +279,7 @@ impl ShardCluster {
             start = start.max(self.shards[idx].store.clock_ns());
         }
         for idx in self.active_shards() {
-            self.sync_shard_clock(idx, start);
+            self.shards[idx].store.advance_clock_to(start);
         }
         self.now_ns = start;
         start

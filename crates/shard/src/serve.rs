@@ -1,519 +1,94 @@
-//! The cluster serving loop: many clients, one router, N shard queues.
+//! Cluster serving: many clients, one router, N shard queues.
 //!
-//! A discrete-event simulation across every shard's simulated clock.
-//! Arrivals are drawn exactly like `seal-front`'s single-store loop
-//! (same op/key streams for a given seed) and routed at admission time;
-//! each shard serves its own FIFO queue, merging queued writes behind a
-//! serving write into one group commit under the shared
-//! [`seal_front::group_fits`] cap semantics. The next event is always
-//! the minimum over `(time, admission index, shard)` — arrivals and
-//! service starts interleave deterministically no matter how many
-//! shards run "in parallel".
+//! The event loop itself is `seal-front`'s, the only one in the
+//! workspace ([`seal_front::serve_stores`]); a single store is its N = 1
+//! case. This module hands it the active shards' stores with the
+//! ring's router, then does what only a cluster has: it syncs every
+//! shard to the cluster frontier before the run, publishes each
+//! shard's router-layer view, and advances the frontier to the last
+//! completion afterwards.
 //!
 //! Throughput is aggregate: completed operations over the cluster span
-//! (first service start to last completion on any shard). More shards
-//! mean more disks serving concurrently, so saturation throughput
-//! scales out until the hottest shard — zipfian traffic concentrates —
-//! becomes the bottleneck.
+//! (start to last completion on any shard). More shards mean more disks
+//! serving concurrently, so saturation throughput scales out until the
+//! hottest shard — zipfian traffic concentrates — becomes the
+//! bottleneck. Scans are shard-local (the routed shard's range);
+//! cross-shard scans are the scatter-gather [`ShardCluster::scan`].
 
 use crate::ShardCluster;
-use lsm_core::util::rng::XorShift64;
-use lsm_core::{Result, WriteBatch};
-use seal_front::{group_fits, LatencySummary};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use workloads::distributions::{Distribution, Latest, ScrambledZipfian, Uniform};
-use workloads::ycsb::{Dist, WorkloadSpec};
-use workloads::{ArrivalProcess, InterArrival, RecordGenerator};
+use lsm_core::Result;
+use seal_front::{serve_stores, ServeConfig, ServeResult};
+use sealdb::Store;
+use workloads::RecordGenerator;
 
-/// Configuration of one cluster serving run.
-#[derive(Clone, Debug)]
-pub struct ClusterServeConfig {
-    /// Number of virtual clients (cluster-wide).
-    pub clients: usize,
-    /// Total operations to serve across all clients and shards.
-    pub total_ops: u64,
-    /// Records preloaded into the cluster (the YCSB keyspace).
-    pub record_count: u64,
-    /// Operation mix and key distribution.
-    pub spec: WorkloadSpec,
-    /// Traffic shape (per client).
-    pub arrival: ArrivalProcess,
-    /// Seed for every RNG stream the run owns.
-    pub seed: u64,
-    /// Group-commit size cap in batch wire bytes (LevelDB: 1 MiB),
-    /// enforced per shard.
-    pub max_group_bytes: usize,
-    /// Whether a shard's idle gaps run background compaction steps.
-    pub idle_compaction: bool,
-}
+/// Configuration of one cluster serving run — the one serving
+/// configuration; `clients` and `total_ops` are cluster-wide and the
+/// group-commit cap applies per shard.
+pub type ClusterServeConfig = ServeConfig;
 
-impl ClusterServeConfig {
-    /// A serving run with the default group cap and idle compaction on.
-    pub fn new(
-        spec: WorkloadSpec,
-        arrival: ArrivalProcess,
-        clients: usize,
-        total_ops: u64,
-        record_count: u64,
-    ) -> Self {
-        ClusterServeConfig {
-            clients,
-            total_ops,
-            record_count,
-            spec,
-            arrival,
-            seed: 0x5EA1_F007,
-            max_group_bytes: 1 << 20,
-            idle_compaction: true,
-        }
-    }
-
-    /// Same run with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// Everything one cluster serving run measured.
-#[derive(Clone, Debug)]
-pub struct ClusterServeResult {
-    /// Active shards that served the run.
-    pub shards: usize,
-    /// Operations completed.
-    pub ops: u64,
-    /// Cluster span: first service start to last completion, ns.
-    pub sim_ns: u64,
-    /// Aggregate completed operations per simulated second.
-    pub throughput_ops_per_sec: f64,
-    /// End-to-end latency (arrival → completion): queueing + service.
-    pub latency: LatencySummary,
-    /// Queueing delay alone (arrival → service start).
-    pub queue_delay: LatencySummary,
-    /// Operations served by each shard slot (merged-away slots read 0).
-    pub per_shard_ops: Vec<u64>,
-    /// `Store::write` calls issued by each shard slot.
-    pub per_shard_write_calls: Vec<u64>,
-    /// Deepest per-shard queue observed at any service start.
-    pub queue_depth_max: usize,
-    /// Total `Store::write` calls (each one WAL append + sync).
-    pub write_calls: u64,
-    /// Write operations carried by those calls.
-    pub write_ops: u64,
-    /// Largest write group merged on any shard.
-    pub max_group_len: usize,
-    /// Largest committed group in wire bytes; never exceeds the cap
-    /// unless a single oversized batch committed alone.
-    pub max_group_wire: usize,
-    /// Background compaction steps run in shard idle gaps.
-    pub idle_compactions: u64,
-    /// Point reads that found their key.
-    pub hits: u64,
-    /// Point reads that missed.
-    pub misses: u64,
-    /// Keyspace size after the run (preload plus serve-phase inserts) —
-    /// the audit horizon.
-    pub records_after: u64,
-}
-
-impl ClusterServeResult {
-    /// Mean write operations per WAL commit (1.0 = no grouping).
-    pub fn avg_group_size(&self) -> f64 {
-        if self.write_calls == 0 {
-            0.0
-        } else {
-            self.write_ops as f64 / self.write_calls as f64
-        }
-    }
-
-    /// Max-over-mean of per-shard served operations (active slots).
-    pub fn ops_imbalance(&self) -> f64 {
-        let active: Vec<u64> = self
-            .per_shard_ops
-            .iter()
-            .copied()
-            .filter(|&n| n > 0)
-            .collect();
-        crate::imbalance(&active)
-    }
-}
-
-/// One operation, decided at admission so queued writes are visible to
-/// the shard's group commit.
-enum Op {
-    Get(Vec<u8>),
-    Write(WriteBatch),
-    Scan(Vec<u8>, usize),
-    Rmw(Vec<u8>, Vec<u8>),
-}
-
-impl Op {
-    /// The key whose hash routes this operation.
-    fn route_key(&self) -> &[u8] {
-        match self {
-            Op::Get(k) | Op::Scan(k, _) | Op::Rmw(k, _) => k,
-            Op::Write(b) => match b.iter().next() {
-                Some((_, _, k, _)) => k,
-                None => &[],
-            },
-        }
-    }
-}
-
-/// A request sitting in one shard's queue.
-struct Request {
-    arrival_ns: u64,
-    client: usize,
-    op: Op,
-}
-
-/// Shared operation-drawing state, mirroring `seal-front`'s so a
-/// cluster run draws the same op/key streams as a single-store run
-/// with the same seed.
-struct OpDraw<'a> {
-    gen: &'a RecordGenerator,
-    spec: WorkloadSpec,
-    op_rng: XorShift64,
-    key_rng: XorShift64,
-    dist: Box<dyn Distribution>,
-    n_now: u64,
-}
-
-impl<'a> OpDraw<'a> {
-    fn new(gen: &'a RecordGenerator, spec: WorkloadSpec, record_count: u64, seed: u64) -> Self {
-        let dist: Box<dyn Distribution> = match spec.dist {
-            Dist::Uniform => Box::new(Uniform),
-            Dist::Zipfian => Box::new(ScrambledZipfian::new(record_count)),
-            Dist::Latest => Box::new(Latest::new(record_count * 2)),
-        };
-        OpDraw {
-            gen,
-            spec,
-            op_rng: XorShift64::new(seed),
-            key_rng: XorShift64::new(seed ^ 0xDEAD_BEEF),
-            dist,
-            n_now: record_count,
-        }
-    }
-
-    fn draw(&mut self) -> Op {
-        let r = (self.op_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let m = &self.spec.mix;
-        if r < m.read {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            Op::Get(self.gen.key(i))
-        } else if r < m.read + m.update {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            let mut b = WriteBatch::new();
-            b.put(&self.gen.key(i), &self.gen.value(i));
-            Op::Write(b)
-        } else if r < m.read + m.update + m.insert {
-            let i = self.n_now;
-            self.n_now += 1;
-            let mut b = WriteBatch::new();
-            b.put(&self.gen.key(i), &self.gen.value(i));
-            Op::Write(b)
-        } else if r < m.read + m.update + m.insert + m.scan {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            let len = 1 + (self.key_rng.next_below(self.spec.max_scan_len as u64) as usize);
-            Op::Scan(self.gen.key(i), len)
-        } else {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            Op::Rmw(self.gen.key(i), self.gen.value(i))
-        }
-    }
-}
+/// Everything one cluster serving run measured. Per-shard vectors are
+/// indexed by shard slot; merged-away slots read 0.
+pub type ClusterServeResult = ServeResult;
 
 /// Serves `cfg.total_ops` operations against a preloaded cluster and
 /// reports aggregate latency and per-shard load.
-///
-/// Every active shard is flipped into deferred-compaction (serve) mode
-/// for the duration and restored afterwards.
 pub fn serve(
     cluster: &mut ShardCluster,
     gen: &RecordGenerator,
     cfg: &ClusterServeConfig,
 ) -> Result<ClusterServeResult> {
-    assert!(cfg.clients > 0, "serve needs at least one client");
-    let active = cluster.active_shards();
-    assert!(!active.is_empty(), "serve needs at least one active shard");
-    for &idx in &active {
-        cluster.store_mut(idx).set_deferred_compaction(true);
-    }
-    let result = serve_loop(cluster, gen, cfg);
-    for &idx in &active {
-        cluster.store_mut(idx).set_deferred_compaction(false);
-    }
-    result
-}
-
-fn serve_loop(
-    cluster: &mut ShardCluster,
-    gen: &RecordGenerator,
-    cfg: &ClusterServeConfig,
-) -> Result<ClusterServeResult> {
     let start = cluster.sync_all();
-    let slots = cluster.total_shards();
-    let mut draw = OpDraw::new(gen, cfg.spec, cfg.record_count, cfg.seed);
-
-    // Per-client traffic state: gap generator and unissued-op quota.
-    let mut gaps: Vec<InterArrival> = (0..cfg.clients)
-        .map(|c| InterArrival::new(cfg.arrival, cfg.seed ^ (0xC11E57 + c as u64 * 0x9E37_79B9)))
-        .collect();
-    let mut remaining: Vec<u64> = {
-        let base = cfg.total_ops / cfg.clients as u64;
-        let extra = (cfg.total_ops % cfg.clients as u64) as usize;
-        (0..cfg.clients)
-            .map(|c| base + u64::from(c < extra))
-            .collect()
-    };
-    let open_loop = matches!(cfg.arrival, ArrivalProcess::OpenLoopPoisson { .. });
-
-    // Future arrivals, ordered by (time, admission index, client); the
-    // admission index breaks ties deterministically.
-    let mut arrivals: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut next_idx = 0u64;
-    for c in 0..cfg.clients {
-        if remaining[c] == 0 {
-            continue;
-        }
-        let t = if open_loop {
-            start + gaps[c].next_gap_ns()
-        } else {
-            start
-        };
-        arrivals.push(Reverse((t, next_idx, c)));
-        next_idx += 1;
-        remaining[c] -= 1;
+    let active = cluster.active_shards();
+    // The loop indexes the active stores densely; `queue_of` maps a
+    // ring slot to its position.
+    let mut queue_of = vec![usize::MAX; cluster.total_shards()];
+    for (q, &slot) in active.iter().enumerate() {
+        queue_of[slot] = q;
     }
-
-    let mut pending: Vec<VecDeque<Request>> = (0..slots).map(|_| VecDeque::new()).collect();
-    let mut latencies: Vec<u64> = Vec::with_capacity(cfg.total_ops as usize);
-    let mut queue_delays: Vec<u64> = Vec::with_capacity(cfg.total_ops as usize);
-    let mut per_shard_ops = vec![0u64; slots];
-    let mut per_shard_write_calls = vec![0u64; slots];
-    let mut per_shard_depth_max = vec![0usize; slots];
-    let mut write_calls = 0u64;
-    let mut write_ops = 0u64;
-    let mut max_group_len = 0usize;
-    let mut max_group_wire = 0usize;
-    let mut idle_compactions = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut completed = 0u64;
-    let mut last_done = start;
-
-    while completed < cfg.total_ops {
-        // The next service event: the shard that can begin serving its
-        // queue head earliest. A shard is ready at max(its disk clock,
-        // the head's arrival); ties break by shard index.
-        let next_service: Option<(u64, usize)> = (0..slots)
-            .filter(|&s| !pending[s].is_empty())
-            .map(|s| {
-                let head = pending[s].front().expect("non-empty");
-                (cluster.store(s).clock_ns().max(head.arrival_ns), s)
-            })
-            .min();
-
-        // Admit every arrival due at or before the next service event
-        // (or, with no serviceable shard, at the next arrival instant):
-        // an admitted write becomes visible to the group commit of the
-        // service it queues behind.
-        if let Some(&Reverse((t_a, _, _))) = arrivals.peek() {
-            let horizon = match next_service {
-                Some((t_s, _)) => t_s,
-                None => {
-                    // Cluster fully idle: spend the gap on background
-                    // compaction, shard by shard — the stand-in for the
-                    // compaction threads sharing each disk.
-                    if cfg.idle_compaction {
-                        for s in cluster.active_shards() {
-                            while cluster.store(s).clock_ns() < t_a
-                                && cluster.store(s).needs_compaction()
-                            {
-                                if !cluster.store_mut(s).compact_step()? {
-                                    break;
-                                }
-                                idle_compactions += 1;
-                            }
-                        }
-                    }
-                    t_a
-                }
-            };
-            if t_a <= horizon {
-                while let Some(&Reverse((t, _, c))) = arrivals.peek() {
-                    if t > horizon {
-                        break;
-                    }
-                    arrivals.pop();
-                    let op = draw.draw();
-                    let shard = cluster.route(op.route_key());
-                    pending[shard].push_back(Request {
-                        arrival_ns: t,
-                        client: c,
-                        op,
-                    });
-                    if open_loop && remaining[c] > 0 {
-                        arrivals.push(Reverse((t + gaps[c].next_gap_ns(), next_idx, c)));
-                        next_idx += 1;
-                        remaining[c] -= 1;
-                    }
-                }
-                continue; // recompute the service event with the new queue state
-            }
-        }
-
-        let Some((t_s, s)) = next_service else {
-            break; // no pending work and no arrivals left
-        };
-
-        // An idle gap before this shard's head arrived: drive its
-        // background compaction, then let the clock catch up. The
-        // compaction may overshoot — the request then queues behind it,
-        // exactly like a foreground write behind a busy disk.
-        let head_arrival = pending[s].front().expect("non-empty").arrival_ns;
-        if cfg.idle_compaction {
-            while cluster.store(s).clock_ns() < head_arrival && cluster.store(s).needs_compaction()
-            {
-                if !cluster.store_mut(s).compact_step()? {
-                    break;
-                }
-                idle_compactions += 1;
-            }
-        }
-        if cluster.store(s).clock_ns() < head_arrival {
-            cluster.sync_shard_clock(s, head_arrival);
-        }
-        let _ = t_s;
-
-        per_shard_depth_max[s] = per_shard_depth_max[s].max(pending[s].len());
-        let service_start = cluster.store(s).clock_ns();
-        let head = pending[s].pop_front().expect("non-empty queue");
-        let mut members: Vec<(u64, usize)> = vec![(head.arrival_ns, head.client)];
-        match head.op {
-            Op::Write(mut batch) => {
-                // Group commit: absorb queued writes behind the head on
-                // THIS shard, under the shared cap semantics. A queued
-                // request whose arrival is still in this shard's future
-                // (admitted under another shard's later horizon) cannot
-                // join a group that commits before it arrives.
-                loop {
-                    let fits = match pending[s].front() {
-                        Some(next) if next.arrival_ns <= service_start => match &next.op {
-                            Op::Write(b) => group_fits(&batch, b, cfg.max_group_bytes),
-                            _ => false,
-                        },
-                        _ => false,
-                    };
-                    if !fits {
-                        break;
-                    }
-                    let next = pending[s].pop_front().expect("checked front");
-                    let Op::Write(b) = next.op else {
-                        unreachable!("checked write")
-                    };
-                    batch.append(&b);
-                    members.push((next.arrival_ns, next.client));
-                }
-                write_calls += 1;
-                per_shard_write_calls[s] += 1;
-                write_ops += members.len() as u64;
-                max_group_len = max_group_len.max(members.len());
-                max_group_wire = max_group_wire.max(batch.byte_size());
-                cluster.store_mut(s).write(batch)?;
-            }
-            Op::Get(key) => {
-                if cluster.store_mut(s).get(&key)?.is_some() {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            Op::Scan(key, len) => {
-                // Partition-local scan: the serving loop reads the
-                // routed shard's range; cross-shard scans are the
-                // scatter-gather `ShardCluster::scan` API.
-                cluster.store_mut(s).scan(&key, len)?;
-            }
-            Op::Rmw(key, value) => {
-                if cluster.store_mut(s).get(&key)?.is_some() {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-                cluster.store_mut(s).put(&key, &value)?;
-            }
-        }
-        let done = cluster.store(s).clock_ns();
-        last_done = last_done.max(done);
-        per_shard_ops[s] += members.len() as u64;
-        for &(arrival, client) in &members {
-            latencies.push(done - arrival);
-            queue_delays.push(service_start - arrival);
-            completed += 1;
-            if !open_loop && remaining[client] > 0 {
-                arrivals.push(Reverse((
-                    done + gaps[client].next_gap_ns(),
-                    next_idx,
-                    client,
-                )));
-                next_idx += 1;
-                remaining[client] -= 1;
-            }
-        }
-    }
-
-    let sim_ns = last_done - start;
-    let latency = LatencySummary::from_samples(&mut latencies);
-    let queue_delay = LatencySummary::from_samples(&mut queue_delays);
-    let queue_depth_max = per_shard_depth_max.iter().copied().max().unwrap_or(0);
-    let result = ClusterServeResult {
-        shards: cluster.active_shards().len(),
-        ops: completed,
-        sim_ns,
-        throughput_ops_per_sec: if sim_ns == 0 {
-            0.0
-        } else {
-            completed as f64 * 1e9 / sim_ns as f64
-        },
-        latency,
-        queue_delay,
-        per_shard_ops,
-        per_shard_write_calls,
-        queue_depth_max,
-        write_calls,
-        write_ops,
-        max_group_len,
-        max_group_wire,
-        idle_compactions,
-        hits,
-        misses,
-        records_after: draw.n_now,
+    let mut r = {
+        let ring = &cluster.ring;
+        let mut stores: Vec<&mut Store> = cluster
+            .shards
+            .iter_mut()
+            .filter(|shard| shard.active)
+            .map(|shard| &mut shard.store)
+            .collect();
+        serve_stores(&mut stores, |key| queue_of[ring.route(key)], gen, cfg)?
     };
-    for s in cluster.active_shards() {
+    r.per_shard_ops = by_slot(&r.per_shard_ops, &active, queue_of.len());
+    r.per_shard_write_calls = by_slot(&r.per_shard_write_calls, &active, queue_of.len());
+    r.per_shard_queue_depth_max = by_slot(&r.per_shard_queue_depth_max, &active, queue_of.len());
+    for &s in &active {
         cluster.publish_router_obs(
             s,
-            result.per_shard_ops[s],
-            result.per_shard_write_calls[s],
-            per_shard_depth_max[s],
+            r.per_shard_ops[s],
+            r.per_shard_write_calls[s],
+            r.per_shard_queue_depth_max[s],
         );
     }
     // The cluster frontier advances to the last completion.
-    let end = cluster.now_ns().max(last_done);
-    for s in cluster.active_shards() {
-        cluster.sync_shard_clock(s, end);
+    let end = start + r.sim_ns;
+    for &s in &active {
+        cluster.store_mut(s).advance_clock_to(end);
     }
     cluster.now_ns = end;
-    Ok(result)
+    Ok(r)
+}
+
+/// Spreads per-queue values over `slots` shard slots.
+fn by_slot<T: Copy + Default>(per_queue: &[T], active: &[usize], slots: usize) -> Vec<T> {
+    let mut out = vec![T::default(); slots];
+    for (&v, &slot) in per_queue.iter().zip(active) {
+        out[slot] = v;
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ShardConfig;
-    use workloads::WorkloadSpec as Spec;
+    use workloads::{ArrivalProcess, WorkloadSpec as Spec};
 
     const SST: u64 = 32 << 10;
     const CAP: u64 = 1 << 30;

@@ -11,7 +11,7 @@
 use crate::distributions::{Distribution, Latest, ScrambledZipfian, Uniform};
 use crate::generator::RecordGenerator;
 use lsm_core::util::rng::XorShift64;
-use lsm_core::Result;
+use lsm_core::{Result, WriteBatch};
 use sealdb::Store;
 
 /// Operation mix of one workload (proportions must sum to 1).
@@ -229,6 +229,110 @@ impl YcsbResult {
     }
 }
 
+/// One operation, decided when it is drawn so a serving queue can see
+/// queued writes for group commit. Updates and inserts are one-put
+/// batches (`Store::put` is exactly `Store::write` of one).
+#[derive(Debug)]
+pub enum Op {
+    /// Point read.
+    Get(Vec<u8>),
+    /// Update or insert.
+    Write(WriteBatch),
+    /// Range scan of up to `len` keys from the key.
+    Scan(Vec<u8>, usize),
+    /// Read-modify-write: read the key, then write the value.
+    Rmw(Vec<u8>, Vec<u8>),
+}
+
+impl Op {
+    /// The key the operation addresses (a write's first key) — what a
+    /// router hashes.
+    pub fn key(&self) -> &[u8] {
+        match self {
+            Op::Get(k) | Op::Scan(k, _) | Op::Rmw(k, _) => k,
+            Op::Write(b) => match b.iter().next() {
+                Some((_, _, k, _)) => k,
+                None => &[],
+            },
+        }
+    }
+}
+
+/// The seeded op/key stream of a workload: every driver (the db_bench
+/// loop below, the serving front-end, the shard router) draws from it,
+/// so one seed yields one operation sequence everywhere.
+pub struct OpDraw<'a> {
+    gen: &'a RecordGenerator,
+    spec: WorkloadSpec,
+    op_rng: XorShift64,
+    key_rng: XorShift64,
+    dist: Box<dyn Distribution>,
+    n_now: u64,
+}
+
+impl std::fmt::Debug for OpDraw<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OpDraw")
+            .field("spec", &self.spec)
+            .field("n_now", &self.n_now)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> OpDraw<'a> {
+    /// A stream over a keyspace preloaded with `record_count` records.
+    pub fn new(gen: &'a RecordGenerator, spec: WorkloadSpec, record_count: u64, seed: u64) -> Self {
+        let dist: Box<dyn Distribution> = match spec.dist {
+            Dist::Uniform => Box::new(Uniform),
+            Dist::Zipfian => Box::new(ScrambledZipfian::new(record_count)),
+            Dist::Latest => Box::new(Latest::new(record_count * 2)),
+        };
+        OpDraw {
+            gen,
+            spec,
+            op_rng: XorShift64::new(seed),
+            key_rng: XorShift64::new(seed ^ 0xDEADBEEF),
+            dist,
+            n_now: record_count,
+        }
+    }
+
+    /// Keyspace size so far: the preload plus every insert drawn.
+    pub fn records(&self) -> u64 {
+        self.n_now
+    }
+
+    /// Draws the next operation.
+    pub fn draw(&mut self) -> Op {
+        let r = (self.op_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let m = &self.spec.mix;
+        if r < m.read {
+            let i = self.dist.next(&mut self.key_rng, self.n_now);
+            Op::Get(self.gen.key(i))
+        } else if r < m.read + m.update {
+            let i = self.dist.next(&mut self.key_rng, self.n_now);
+            Op::Write(self.put(i))
+        } else if r < m.read + m.update + m.insert {
+            let i = self.n_now;
+            self.n_now += 1;
+            Op::Write(self.put(i))
+        } else if r < m.read + m.update + m.insert + m.scan {
+            let i = self.dist.next(&mut self.key_rng, self.n_now);
+            let len = 1 + (self.key_rng.next_below(self.spec.max_scan_len as u64) as usize);
+            Op::Scan(self.gen.key(i), len)
+        } else {
+            let i = self.dist.next(&mut self.key_rng, self.n_now);
+            Op::Rmw(self.gen.key(i), self.gen.value(i))
+        }
+    }
+
+    fn put(&self, i: u64) -> WriteBatch {
+        let mut b = WriteBatch::new();
+        b.put(&self.gen.key(i), &self.gen.value(i));
+        b
+    }
+}
+
 /// Executes `op_count` operations of `spec` against a store preloaded
 /// with `record_count` records.
 pub fn run(
@@ -239,48 +343,29 @@ pub fn run(
     op_count: u64,
     seed: u64,
 ) -> Result<YcsbResult> {
-    let mut rng = XorShift64::new(seed);
-    let mut key_rng = XorShift64::new(seed ^ 0xDEADBEEF);
-    let mut n_now = record_count;
-    let mut dist: Box<dyn Distribution> = match spec.dist {
-        Dist::Uniform => Box::new(Uniform),
-        Dist::Zipfian => Box::new(ScrambledZipfian::new(record_count)),
-        Dist::Latest => Box::new(Latest::new(record_count * 2)),
-    };
+    let mut draw = OpDraw::new(gen, *spec, record_count, seed);
     let mut hits = 0;
     let mut misses = 0;
+    let mut read = |store: &mut Store, key: &[u8]| -> Result<()> {
+        if store.get(key)?.is_some() {
+            hits += 1;
+        } else {
+            misses += 1;
+        }
+        Ok(())
+    };
     let start = store.clock_ns();
     for _ in 0..op_count {
-        let r = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let m = &spec.mix;
-        if r < m.read {
-            let k = gen.key(dist.next(&mut key_rng, n_now));
-            if store.get(&k)?.is_some() {
-                hits += 1;
-            } else {
-                misses += 1;
+        match draw.draw() {
+            Op::Get(key) => read(store, &key)?,
+            Op::Write(batch) => store.write(batch)?,
+            Op::Scan(key, len) => {
+                store.scan(&key, len)?;
             }
-        } else if r < m.read + m.update {
-            let i = dist.next(&mut key_rng, n_now);
-            store.put(&gen.key(i), &gen.value(i))?;
-        } else if r < m.read + m.update + m.insert {
-            let i = n_now;
-            n_now += 1;
-            store.put(&gen.key(i), &gen.value(i))?;
-        } else if r < m.read + m.update + m.insert + m.scan {
-            let start_i = dist.next(&mut key_rng, n_now);
-            let len = 1 + (key_rng.next_below(spec.max_scan_len as u64) as usize);
-            store.scan(&gen.key(start_i), len)?;
-        } else {
-            // Read-modify-write.
-            let i = dist.next(&mut key_rng, n_now);
-            let k = gen.key(i);
-            if store.get(&k)?.is_some() {
-                hits += 1;
-            } else {
-                misses += 1;
+            Op::Rmw(key, value) => {
+                read(store, &key)?;
+                store.put(&key, &value)?;
             }
-            store.put(&k, &gen.value(i))?;
         }
     }
     Ok(YcsbResult {

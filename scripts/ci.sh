@@ -40,17 +40,11 @@ cargo run -q --release -p bench -- --metrics-out BENCH_pr2.json --tiny
 cargo run -q --release -p bench -- --metrics-check BENCH_pr2.json
 
 # Serving artifact: the canonical latency-under-load sweep, then the
-# schema check (required keys, no NaN/Inf) and the headline property —
-# SEALDB sustains the highest saturation throughput of the three stores.
+# checker — required keys, no NaN/Inf, and the headline property that
+# SEALDB sustains strictly the highest saturation throughput of the
+# three stores.
 cargo run -q --release -p bench -- --serve-out BENCH_pr3.json --serving
 cargo run -q --release -p bench -- --serve-check BENCH_pr3.json
-sats=$(grep -o '"saturation_ops_per_sec":[0-9.]*' BENCH_pr3.json | cut -d: -f2)
-echo "$sats" | awk 'NR==1{l=$1} NR==2{m=$1} NR==3{s=$1}
-    END { if (NR != 3 || s <= l || s <= m) {
-              printf "SEALDB saturation %s not highest (LevelDB %s, SMRDB %s)\n", s, l, m
-              exit 1
-          }
-          printf "serve saturation ok: SEALDB %s > LevelDB %s, SMRDB %s\n", s, l, m }'
 
 # Scrub artifact: plant latent sector errors, sweep scrub budget x fault
 # count, then check the durability invariant — scrub-on cells lose ZERO
@@ -82,22 +76,11 @@ awk -F'[:,]' '{ gsub(/"/, "") }
 
 # Shard artifact: the multi-shard scale-out sweep at the canonical
 # serving scale (1/2/4/8-shard saturation cells plus a mid-run split
-# migration), then the schema check and two visible gates — aggregate
-# saturation rises strictly with shard count, and the migration loses
-# ZERO acked keys while actually moving data.
+# migration), then the checker — exactly four cells whose aggregate
+# saturation rises strictly with shard count, and exactly one migration
+# cell that moved data while losing ZERO acked keys.
 cargo run -q --release -p bench -- --shard-out BENCH_pr7.json --serving
 cargo run -q --release -p bench -- --shard-check BENCH_pr7.json
-grep -o '"saturation_ops_per_sec":[0-9.]*' BENCH_pr7.json | cut -d: -f2 |
-awk 'NR>1 && $1 <= prev { printf "shard saturation not strictly increasing: %s after %s\n", $1, prev; exit 1 }
-    { prev=$1; n++ }
-    END { if (n != 4) { printf "expected 4 shard cells, saw %d\n", n; exit 1 }
-          printf "shard scale-out ok: %d cells, saturation strictly increasing\n", n }'
-grep -o '"moved_keys":[0-9]*,"moved_bytes":[0-9]*,"batches":[0-9]*,"duration_ns":[0-9]*,"checked_keys":[0-9]*,"lost_keys":[0-9]*' BENCH_pr7.json |
-awk -F'[:,]' '{ moved=$2; lost=$12 }
-    END { if (NR != 1) { print "expected exactly one migration cell"; exit 1 }
-          if (lost != 0) { printf "migration lost %s acked keys\n", lost; exit 1 }
-          if (moved == 0) { print "migration moved no keys"; exit 1 }
-          printf "shard migration ok: moved %s keys, lost 0\n", moved }'
 
 # Key-value-separation artifact: update-heavy YCSB A/F against inline vs
 # value-log SEALDB builds in the large-value regime, then the schema

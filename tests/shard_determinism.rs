@@ -1,9 +1,11 @@
 //! Cluster-level determinism: the multi-shard router, serving loop, and
 //! migration machinery must replay byte-identically from a (config,
 //! seed) pair — the property `BENCH_pr7.json` regeneration stands on —
-//! and a mid-run shard split must never lose an acknowledged key.
+//! a mid-run shard split must never lose an acknowledged key, and a
+//! one-shard cluster must serve exactly like a single store.
 
 use bench::{shard_run, BenchScale};
+use seal_front::{run_serve, ServeConfig};
 use seal_shard::{serve, ClusterServeConfig, ShardCluster, ShardConfig};
 use workloads::{ArrivalProcess, RecordGenerator, WorkloadSpec};
 
@@ -105,4 +107,102 @@ fn saturation_scales_with_shard_count() {
     let eight = sat(8);
     assert!(four > one, "4 shards {four:.0} !> 1 shard {one:.0}");
     assert!(eight > four, "8 shards {eight:.0} !> 4 shards {four:.0}");
+}
+
+/// A one-shard cluster is the single-store deployment: `seal_shard::serve`
+/// on it must reproduce `seal_front::run_serve` on an identically loaded
+/// cluster's store bit for bit — every simulated number and the final
+/// key/value state — across closed- and open-loop S, A and E mixes.
+#[test]
+fn one_shard_cluster_serves_exactly_like_run_serve() {
+    let gen = RecordGenerator::new(16, 512, 3);
+    const RECORDS: u64 = 1200;
+    let loaded = || {
+        let cfg = ShardConfig::new(1, 32 << 10, 1 << 30).with_seed(19);
+        let mut c = ShardCluster::new(cfg).unwrap();
+        c.load(&gen, RECORDS).unwrap();
+        c
+    };
+    let open = |ops_per_sec: f64| ArrivalProcess::OpenLoopPoisson { ops_per_sec };
+    let closed = |think_ns: u64| ArrivalProcess::ClosedLoop { think_ns };
+    let cases = [
+        (WorkloadSpec::serve_mix(), closed(0)),
+        (WorkloadSpec::serve_mix(), open(40.0)),
+        (WorkloadSpec::a(), open(60.0)),
+        (WorkloadSpec::a(), closed(2_000_000)),
+        (WorkloadSpec::e(), open(30.0)),
+    ];
+    for seed in [7u64, 42] {
+        for (spec, arrival) in cases {
+            let mut routed = loaded();
+            let cfg = ClusterServeConfig::new(spec, arrival, 4, 800, RECORDS).with_seed(seed);
+            let a = serve(&mut routed, &gen, &cfg).unwrap();
+            let mut single = loaded();
+            let cfg = ServeConfig::new(spec, arrival, 4, 800, RECORDS).with_seed(seed);
+            let b = run_serve(single.store_mut(0), &gen, &cfg).unwrap();
+            let case = format!("workload {} {arrival:?} seed {seed}", spec.name);
+            assert_eq!(a.ops, 800, "{case}");
+            assert_eq!(a.sim_ns, b.sim_ns, "{case}");
+            assert_eq!(a.latency, b.latency, "{case}");
+            assert_eq!(a.queue_delay, b.queue_delay, "{case}");
+            assert_eq!(a.write_calls, b.write_calls, "{case}");
+            assert_eq!(a.idle_compactions, b.idle_compactions, "{case}");
+            assert_eq!(a.hits, b.hits, "{case}");
+            assert_eq!(
+                routed.state_hash(0).unwrap(),
+                single.state_hash(0).unwrap(),
+                "{case}"
+            );
+        }
+    }
+}
+
+/// A shard whose largest table sits on a dead region must not take the
+/// cluster down: its point reads retry, then are served as misses, and
+/// clients that exhaust their error budget walk away — every operation
+/// is either served or abandoned.
+#[test]
+fn cluster_serve_survives_a_persistent_read_fault_on_one_shard() {
+    let gen = RecordGenerator::new(16, 128, 5);
+    const RECORDS: u64 = 1500;
+    const OPS: u64 = 600;
+    let mut c = ShardCluster::new(ShardConfig::new(3, 32 << 10, 1 << 30).with_seed(3)).unwrap();
+    c.load(&gen, RECORDS).unwrap();
+    let store = c.store_mut(1);
+    let largest = store
+        .db
+        .current_version()
+        .files
+        .iter()
+        .flatten()
+        .max_by_key(|f| f.size)
+        .expect("load left no tables")
+        .clone();
+    let ext = store.db.ctx().lock().fs.file_extent(largest.id).unwrap();
+    store
+        .db
+        .ctx()
+        .lock()
+        .fs
+        .disk_mut()
+        .faults_mut()
+        .fail_reads_permanently(ext);
+
+    let mut cfg = ClusterServeConfig::new(
+        WorkloadSpec::c(),
+        ArrivalProcess::ClosedLoop { think_ns: 0 },
+        6,
+        OPS,
+        RECORDS,
+    )
+    .with_seed(8);
+    cfg.client_error_budget = 4;
+    let r = serve(&mut c, &gen, &cfg).unwrap();
+    assert!(r.failed_reads > 0, "reads into the dead table must fail");
+    assert!(r.clients_abandoned > 0, "the error budget must trip");
+    assert_eq!(
+        r.ops + r.abandoned_ops,
+        OPS,
+        "every op is served or abandoned"
+    );
 }
