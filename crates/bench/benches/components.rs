@@ -3,7 +3,7 @@
 
 use bench::timing::{bench, bench_with_setup};
 use lsm_core::memtable::MemTable;
-use lsm_core::sstable::{scan_all, TableBuilder, TableOptions};
+use lsm_core::sstable::{scan_all, verify_block, TableBuilder, TableOptions};
 use lsm_core::types::{make_internal_key, ValueType};
 use lsm_core::util::bloom::BloomFilter;
 use lsm_core::util::crc32c;
@@ -15,6 +15,18 @@ fn bench_crc32c() {
     let data = vec![0xA5u8; 64 * 1024];
     bench("crc32c/64KiB", || {
         crc32c::crc32c(std::hint::black_box(&data))
+    });
+    // One default-size data block: what a block-cache miss pays.
+    let block = &data[..4096];
+    bench("crc32c/4KiB", || {
+        crc32c::crc32c(std::hint::black_box(block))
+    });
+    let mut image = block.to_vec();
+    image.push(0);
+    let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(block), &[0]));
+    image.extend_from_slice(&crc.to_le_bytes());
+    bench("block/verify-4KiB", || {
+        verify_block(std::hint::black_box(&image)).unwrap()
     });
 }
 

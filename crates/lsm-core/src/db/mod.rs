@@ -36,9 +36,14 @@ use iter::{DbIterator, LevelIterator};
 use options::Options;
 use smr_sim::{Disk, IoKind, ObsEventKind, ObsLayer};
 
-/// A finished compaction output awaiting placement:
-/// `(file id, encoded table bytes, smallest key, largest key)`.
-type PendingOutput = (FileId, Vec<u8>, Vec<u8>, Vec<u8>);
+/// Finished compaction outputs awaiting placement: `files` holds
+/// `(file id, encoded table bytes)` in the shape the placement policy
+/// takes, `bounds[i]` the smallest and largest key of `files[i]`.
+#[derive(Default)]
+struct PendingOutputs {
+    files: Vec<(FileId, Vec<u8>)>,
+    bounds: Vec<(Vec<u8>, Vec<u8>)>,
+}
 
 /// First file id reserved for value-log segments. Segment ids live far
 /// above anything the version set's file-id counter can reach, so the
@@ -1038,7 +1043,7 @@ impl DbCore {
         // itself at or below the smallest snapshot may go).
         let version = self.versions.current();
         let smallest_snapshot = self.smallest_snapshot();
-        let mut outputs: Vec<PendingOutput> = Vec::new();
+        let mut outputs = PendingOutputs::default();
         let mut builder: Option<TableBuilder> = None;
         let mut last_user_key: Option<Vec<u8>> = None;
         let mut last_seq_for_key = MAX_SEQUENCE;
@@ -1104,17 +1109,13 @@ impl DbCore {
         }
 
         // Place outputs contiguously (or per-file, policy's choice).
-        let placed: Vec<(FileId, Vec<u8>)> = outputs
-            .iter()
-            .map(|(id, data, _, _)| (*id, data.clone()))
-            .collect();
         let (set_id, output_bands) = {
             let mut guard = self.ctx.lock();
-            let set_id = self.policy.place_outputs(&mut guard.fs, &placed)?;
+            let set_id = self.policy.place_outputs(&mut guard.fs, &outputs.files)?;
             // Count distinct fixed bands the outputs landed in (Fig. 3a).
             let mut bands = std::collections::BTreeSet::new();
             if let Some(bs) = guard.fs.disk().band_size() {
-                for (id, _) in &placed {
+                for (id, _) in &outputs.files {
                     let ext = guard.fs.file_extent(*id)?;
                     let first = ext.offset / bs;
                     let last = (ext.end() - 1) / bs;
@@ -1132,15 +1133,15 @@ impl DbCore {
             }
         }
         let mut output_bytes = 0u64;
-        for (id, data, smallest, largest) in &outputs {
+        for ((id, data), (smallest, largest)) in outputs.files.iter().zip(outputs.bounds) {
             output_bytes += data.len() as u64;
             edit.add_file(
                 c.level + 1,
                 FileMetaData {
                     id: *id,
                     size: data.len() as u64,
-                    smallest: smallest.clone(),
-                    largest: largest.clone(),
+                    smallest,
+                    largest,
                     set_id,
                 },
             );
@@ -1165,7 +1166,7 @@ impl DbCore {
             level: c.level,
             input_files: c.num_input_files(),
             input_bytes,
-            output_files: outputs.len(),
+            output_files: outputs.files.len(),
             output_bytes,
             start_ns,
             duration_ns: end_ns - start_ns,
@@ -1195,14 +1196,15 @@ impl DbCore {
     }
 
     fn finish_output(
-        outputs: &mut Vec<PendingOutput>,
+        outputs: &mut PendingOutputs,
         versions: &mut VersionSet,
         builder: TableBuilder,
     ) {
         let id = versions.new_file_id();
         let smallest = builder.first_key().expect("non-empty output").to_vec();
         let largest = builder.last_key().to_vec();
-        outputs.push((id, builder.finish(), smallest, largest));
+        outputs.files.push((id, builder.finish()));
+        outputs.bounds.push((smallest, largest));
     }
 
     // ----- snapshots -----
@@ -1363,6 +1365,97 @@ mod tests {
             format!("key{:012}", i).into_bytes(),
             format!("value-{i:06}-{}", "x".repeat(100)).into_bytes(),
         )
+    }
+
+    /// Rewrites the first data block of table `f` in place after `forge`
+    /// mangles its contents, under a freshly computed (valid) CRC.
+    fn forge_first_block(db: &DbCore, f: &FileMetaData, forge: impl FnOnce(&mut [u8])) {
+        use crate::sstable::table::{parse_footer, BlockHandle, BLOCK_TRAILER_SIZE};
+        use crate::sstable::{Block, FOOTER_SIZE};
+        use crate::util::crc32c;
+        let mut guard = db.ctx().lock();
+        let data = guard.fs.read_file(f.id, 0, f.size, IoKind::Meta).unwrap();
+        let (_, ih) = parse_footer(&data[data.len() - FOOTER_SIZE..]).unwrap();
+        let index = (ih.offset as usize, (ih.offset + ih.size) as usize);
+        let index = std::sync::Arc::new(Block::new(data[index.0..index.1].to_vec()).unwrap());
+        let mut ii = index.iter();
+        ii.seek_to_first();
+        let (h, _) = BlockHandle::decode(ii.value()).unwrap();
+        assert_eq!(h.offset, 0);
+        let size = h.size as usize;
+        let mut image = data[..size + BLOCK_TRAILER_SIZE].to_vec();
+        forge(&mut image[..size]);
+        let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(&image[..size]), &[0]));
+        image[size + 1..].copy_from_slice(&crc.to_le_bytes());
+        let ext = guard.fs.file_extent(f.id).unwrap();
+        let ext = smr_sim::Extent::new(ext.offset, image.len() as u64);
+        guard
+            .fs
+            .disk_mut()
+            .write(ext, &image, IoKind::Meta)
+            .unwrap();
+        guard.block_cache.clear();
+    }
+
+    /// Cuts the block's last entry short: its value length is raised past
+    /// the restart array (every header varint here is one byte).
+    fn truncate_last_entry(contents: &mut [u8]) {
+        use crate::util::coding::{decode_fixed32, get_varint32};
+        let restarts = decode_fixed32(&contents[contents.len() - 4..]) as usize;
+        let end = contents.len() - 4 - 4 * restarts;
+        let (mut off, mut last) = (0, 0);
+        while off < end {
+            last = off;
+            let mut pos = off;
+            let mut lens = [0usize; 3];
+            for l in &mut lens {
+                let (v, n) = get_varint32(&contents[pos..]).unwrap();
+                *l = v as usize;
+                pos += n;
+            }
+            off = pos + lens[1] + lens[2];
+        }
+        assert!(contents[last + 2] < 0x7F);
+        contents[last + 2] = 0x7F;
+    }
+
+    #[test]
+    fn compaction_over_a_malformed_block_fails_and_installs_nothing() {
+        let file_ids = |db: &DbCore| -> Vec<Vec<FileId>> {
+            let v = db.current_version();
+            v.files
+                .iter()
+                .map(|level| level.iter().map(|f| f.id).collect())
+                .collect()
+        };
+        let forgeries: [fn(&mut [u8]); 2] = [
+            truncate_last_entry,
+            // The first entry's key shrinks to 3 bytes.
+            |c| c[1] = 3,
+        ];
+        for forge in forgeries {
+            let mut db = open_db(64 << 10);
+            for _ in 0..2 {
+                for i in 0..50 {
+                    let (k, v) = kv(i);
+                    db.put(&k, &v).unwrap();
+                }
+                db.flush().unwrap();
+            }
+            let version = db.current_version();
+            assert_eq!(version.files[0].len(), 2, "two overlapping L0 tables");
+            let victim = (*version.files[0][1]).clone();
+            forge_first_block(&db, &victim, forge);
+            let before = file_ids(&db);
+            let err = db.compact_range(b"", b"\xff").unwrap_err();
+            let msg = format!("{err}");
+            assert!(matches!(err, crate::error::Error::Corruption(_)), "{msg}");
+            assert!(
+                msg.contains(&format!("file {} block at offset 0", victim.id)),
+                "{msg}"
+            );
+            assert_eq!(file_ids(&db), before, "nothing installed");
+        }
     }
 
     #[test]

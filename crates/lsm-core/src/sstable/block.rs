@@ -142,6 +142,7 @@ impl Block {
             key: Vec::new(),
             value_range: (0, 0),
             next_offset: 0,
+            corrupt: None,
         }
     }
 }
@@ -155,6 +156,22 @@ pub struct BlockIter {
     key: Vec<u8>,
     value_range: (usize, usize),
     next_offset: usize,
+    /// Why parsing stopped early, once a malformed entry was met.
+    corrupt: Option<&'static str>,
+}
+
+/// Decodes an entry header at the front of `data`:
+/// `(shared, non_shared, value_len, header_len)`.
+fn decode_entry_header(data: &[u8]) -> Option<(usize, usize, usize, usize)> {
+    let (shared, n1) = get_varint32(data)?;
+    let (non_shared, n2) = get_varint32(&data[n1..])?;
+    let (vlen, n3) = get_varint32(&data[n1 + n2..])?;
+    Some((
+        shared as usize,
+        non_shared as usize,
+        vlen as usize,
+        n1 + n2 + n3,
+    ))
 }
 
 impl BlockIter {
@@ -162,37 +179,55 @@ impl BlockIter {
         &self.block.data
     }
 
+    /// `Corruption` if iteration stopped on a malformed entry rather than
+    /// at the end of the block. A block whose CRC verified can still hold
+    /// one (a CRC collision, a miscorrected bit flip, a builder bug), and
+    /// an unread tail must not pass for a clean end.
+    pub fn status(&self) -> Result<()> {
+        match self.corrupt {
+            Some(why) => corruption(why),
+            None => Ok(()),
+        }
+    }
+
+    /// Stops iteration on a malformed entry, keeping the first reason.
+    fn fail(&mut self, why: &'static str) -> bool {
+        self.corrupt.get_or_insert(why);
+        self.offset = usize::MAX;
+        false
+    }
+
     /// Parses the entry at `self.next_offset`; the current `self.key` must
     /// be the previous entry's key (or the restart base). Returns false at
-    /// the end of entries or on corruption.
+    /// the end of entries or on corruption, which [`Self::status`] reports.
     fn parse_next(&mut self) -> bool {
         let off = self.next_offset;
-        if off >= self.block.restarts_offset {
+        let end = self.block.restarts_offset;
+        if off >= end {
+            if off > end {
+                return self.fail("restart point past the entries");
+            }
             self.offset = usize::MAX;
             return false;
         }
-        let data = &self.block.data[off..self.block.restarts_offset];
-        let Some((shared, n1)) = get_varint32(data) else {
-            self.offset = usize::MAX;
-            return false;
+        let Some((shared, non_shared, vlen, hdr)) = decode_entry_header(&self.block.data[off..end])
+        else {
+            return self.fail("bad entry header varint");
         };
-        let Some((non_shared, n2)) = get_varint32(&data[n1..]) else {
-            self.offset = usize::MAX;
-            return false;
-        };
-        let Some((vlen, n3)) = get_varint32(&data[n1 + n2..]) else {
-            self.offset = usize::MAX;
-            return false;
-        };
-        let hdr = n1 + n2 + n3;
-        let (shared, non_shared, vlen) = (shared as usize, non_shared as usize, vlen as usize);
-        if shared > self.key.len() || hdr + non_shared + vlen > data.len() {
-            self.offset = usize::MAX;
-            return false;
+        if shared > self.key.len() {
+            return self.fail("shared prefix longer than the previous key");
+        }
+        if hdr + non_shared + vlen > end - off {
+            return self.fail("entry runs past the restart array");
         }
         self.key.truncate(shared);
-        self.key.extend_from_slice(&data[hdr..hdr + non_shared]);
-        let vstart = off + hdr + non_shared;
+        let kstart = off + hdr;
+        self.key
+            .extend_from_slice(&self.block.data[kstart..kstart + non_shared]);
+        if self.key.len() < 8 {
+            return self.fail("key shorter than its 8-byte trailer");
+        }
+        let vstart = kstart + non_shared;
         self.value_range = (vstart, vstart + vlen);
         self.offset = off;
         self.next_offset = vstart + vlen;
@@ -225,9 +260,9 @@ impl InternalIterator for BlockIter {
             let mid = (left + right).div_ceil(2);
             self.seek_to_restart(mid);
             if !self.parse_next() {
-                // Corrupt entry: fall back to a full scan from the start.
-                left = 0;
-                break;
+                // Every restart point past the first names an entry.
+                self.fail("restart point names no entry");
+                return;
             }
             if internal_compare(&self.key, target) == Ordering::Less {
                 left = mid;
@@ -355,6 +390,89 @@ mod tests {
         assert_eq!(user_key(it.key()), b"only");
         it.next();
         assert!(!it.valid());
+    }
+
+    /// `entries` followed by a one-restart array (restart 0) and count.
+    fn forged(entries: &[u8]) -> Arc<Block> {
+        let mut data = entries.to_vec();
+        put_fixed32(&mut data, 0);
+        put_fixed32(&mut data, 1);
+        Arc::new(Block::new(data).unwrap())
+    }
+
+    /// Walks `block` from the start and returns the keys read and the
+    /// status the walk ended with.
+    fn walk(block: &Arc<Block>) -> (usize, Result<()>) {
+        let mut it = block.iter();
+        it.seek_to_first();
+        let mut n = 0;
+        while it.valid() {
+            n += 1;
+            it.next();
+        }
+        (n, it.status())
+    }
+
+    #[test]
+    fn malformed_entries_are_corruption_not_a_clean_end() {
+        let good = {
+            let mut b = BlockBuilder::new(16);
+            for k in ["a", "b", "c"] {
+                b.add(&ik(k), b"value");
+            }
+            b.finish()
+        };
+        let entries = &good[..good.len() - 8];
+        let cases: [(&str, Vec<u8>); 4] = [
+            (
+                "bad entry header varint",
+                vec![0x80, 0x80, 0x80, 0x80, 0x80],
+            ),
+            ("entry runs past", entries[..entries.len() - 3].to_vec()),
+            ("shared prefix longer", {
+                let mut e = entries.to_vec();
+                e[0] = 1; // the first entry has no previous key to share
+                e
+            }),
+            (
+                "key shorter than its 8-byte trailer",
+                vec![0, 3, 1, b'a', b'b', b'c', b'v'],
+            ),
+        ];
+        for (why, bytes) in cases {
+            let block = forged(&bytes);
+            let (_, status) = walk(&block);
+            let msg = format!("{}", status.expect_err(why));
+            assert!(msg.contains(why), "{why}: {msg}");
+            // Seeks stop on the same entry instead of panicking.
+            let mut it = block.iter();
+            it.seek(&ik("b"));
+            assert!(it.status().is_err() || it.valid(), "{why}");
+        }
+        // The intact prefix before a truncated tail is still served.
+        let (n, _) = walk(&forged(&entries[..entries.len() - 3]));
+        assert_eq!(n, 2);
+        // A clean block ends with an Ok status.
+        let (n, status) = walk(&Arc::new(Block::new(good).unwrap()));
+        assert_eq!(n, 3);
+        assert!(status.is_ok());
+    }
+
+    #[test]
+    fn restart_point_past_the_entries_is_corruption() {
+        let mut b = BlockBuilder::new(1);
+        for k in ["a", "b", "c", "d"] {
+            b.add(&ik(k), b"v");
+        }
+        let mut data = b.finish();
+        // Point the last restart beyond the entries.
+        let n = data.len();
+        data[n - 8..n - 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let block = Arc::new(Block::new(data).unwrap());
+        let mut it = block.iter();
+        it.seek(&ik("z"));
+        assert!(!it.valid());
+        assert!(it.status().is_err());
     }
 
     #[test]

@@ -7,5 +7,6 @@ pub mod table;
 
 pub use block::{Block, BlockBuilder, BlockIter};
 pub use table::{
-    scan_all, BlockHandle, Table, TableBuilder, TableIterator, TableOptions, FOOTER_SIZE,
+    scan_all, verify_block, BlockHandle, Table, TableBuilder, TableIterator, TableOptions,
+    FOOTER_SIZE,
 };

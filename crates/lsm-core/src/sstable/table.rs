@@ -13,7 +13,7 @@
 //! contents plus the type byte.
 
 use crate::context::SharedCtx;
-use crate::error::{corruption, Result};
+use crate::error::{corruption, Error, Result};
 use crate::iterator::InternalIterator;
 use crate::sstable::block::{Block, BlockBuilder, BlockIter};
 use crate::types::{self, make_internal_key, user_key, FileId, ValueType, MAX_SEQUENCE};
@@ -236,42 +236,58 @@ impl TableBuilder {
     }
 }
 
-/// [`check_block`] with file/offset context in the error and the host's
-/// checksum-failure counter bumped — every on-disk block read goes
-/// through here so corruption reports say *which* block was bad.
-fn check_block_at(
-    ctx: &mut crate::context::StoreCtx,
-    file: FileId,
-    offset: u64,
-    contents_and_trailer: &[u8],
-) -> Result<Vec<u8>> {
-    check_block(contents_and_trailer).map_err(|e| {
-        ctx.fs.disk_mut().stats_mut().faults.checksum_failures += 1;
-        match e {
-            crate::error::Error::Corruption(msg) => crate::error::Error::Corruption(format!(
-                "file {file} block at offset {offset}: {msg}"
-            )),
-            other => other,
+/// Names the file and block offset in a corruption message, so reports
+/// say *which* block was bad.
+fn at_block(file: FileId, offset: u64, e: Error) -> Error {
+    match e {
+        Error::Corruption(msg) => {
+            Error::Corruption(format!("file {file} block at offset {offset}: {msg}"))
         }
-    })
+        other => other,
+    }
 }
 
-pub(crate) fn check_block(contents_and_trailer: &[u8]) -> Result<Vec<u8>> {
-    if contents_and_trailer.len() < BLOCK_TRAILER_SIZE {
+/// Reads one block and its trailer, verifies it and truncates the buffer
+/// to the contents in place. Every on-disk block read goes through here;
+/// a failed check bumps the host's checksum-failure counter.
+fn read_verified(
+    ctx: &mut crate::context::StoreCtx,
+    file: FileId,
+    handle: BlockHandle,
+    kind: IoKind,
+) -> Result<Vec<u8>> {
+    let mut raw = ctx.fs.read_file(
+        file,
+        handle.offset,
+        handle.size + BLOCK_TRAILER_SIZE as u64,
+        kind,
+    )?;
+    let len = verify_block(&raw).map_err(|e| {
+        ctx.fs.disk_mut().stats_mut().faults.checksum_failures += 1;
+        at_block(file, handle.offset, e)
+    })?;
+    raw.truncate(len);
+    Ok(raw)
+}
+
+/// Checks one block image (`contents | type byte | masked CRC32C LE`)
+/// and returns the length of its contents, which are the image's prefix:
+/// callers truncate or slice instead of copying.
+pub fn verify_block(contents_and_trailer: &[u8]) -> Result<usize> {
+    let Some(split) = contents_and_trailer.len().checked_sub(BLOCK_TRAILER_SIZE) else {
         return corruption("block shorter than trailer");
-    }
-    let split = contents_and_trailer.len() - BLOCK_TRAILER_SIZE;
+    };
     let (contents, trailer) = contents_and_trailer.split_at(split);
     let ty = trailer[0];
     if ty != 0 {
         return corruption("unknown block type");
     }
-    let stored = u32::from_le_bytes(trailer[1..5].try_into().expect("4 bytes"));
+    let stored = u32::from_le_bytes([trailer[1], trailer[2], trailer[3], trailer[4]]);
     let actual = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &[ty]));
     if stored != actual {
         return corruption("block checksum mismatch");
     }
-    Ok(contents.to_vec())
+    Ok(split)
 }
 
 /// Parses the footer of a table, returning (filter handle, index handle).
@@ -293,6 +309,7 @@ pub fn parse_footer(footer: &[u8]) -> Result<(BlockHandle, BlockHandle)> {
 pub struct Table {
     file: FileId,
     file_size: u64,
+    index_offset: u64,
     index: Arc<Block>,
     bloom: Option<BloomFilter>,
 }
@@ -309,35 +326,19 @@ impl Table {
             IoKind::Meta,
         )?;
         let (filter_handle, index_handle) = parse_footer(&footer).map_err(|e| match e {
-            crate::error::Error::Corruption(msg) => {
-                crate::error::Error::Corruption(format!("file {file} footer: {msg}"))
-            }
+            Error::Corruption(msg) => Error::Corruption(format!("file {file} footer: {msg}")),
             other => other,
         })?;
-        let index_raw = guard.fs.read_file(
-            file,
-            index_handle.offset,
-            index_handle.size + BLOCK_TRAILER_SIZE as u64,
-            IoKind::Meta,
-        )?;
-        let index = Arc::new(Block::new(check_block_at(
-            &mut guard,
-            file,
-            index_handle.offset,
-            &index_raw,
-        )?)?);
+        let index = Arc::new(
+            Block::new(read_verified(&mut guard, file, index_handle, IoKind::Meta)?)
+                .map_err(|e| at_block(file, index_handle.offset, e))?,
+        );
         let bloom = if filter_handle.size > 0 {
-            let raw = guard.fs.read_file(
-                file,
-                filter_handle.offset,
-                filter_handle.size + BLOCK_TRAILER_SIZE as u64,
-                IoKind::Meta,
-            )?;
-            BloomFilter::decode(&check_block_at(
+            BloomFilter::decode(&read_verified(
                 &mut guard,
                 file,
-                filter_handle.offset,
-                &raw,
+                filter_handle,
+                IoKind::Meta,
             )?)
         } else {
             None
@@ -345,6 +346,7 @@ impl Table {
         Ok(Table {
             file,
             file_size,
+            index_offset: index_handle.offset,
             index,
             bloom,
         })
@@ -379,18 +381,10 @@ impl Table {
                 return Ok(block);
             }
         }
-        let raw = guard.fs.read_file(
-            self.file,
-            handle.offset,
-            handle.size + BLOCK_TRAILER_SIZE as u64,
-            kind,
-        )?;
-        let block = Arc::new(Block::new(check_block_at(
-            &mut guard,
-            self.file,
-            handle.offset,
-            &raw,
-        )?)?);
+        let block = Arc::new(
+            Block::new(read_verified(&mut guard, self.file, handle, kind)?)
+                .map_err(|e| at_block(self.file, handle.offset, e))?,
+        );
         if use_cache {
             let charge = block.size() as u64;
             guard.block_cache.insert(key, Arc::clone(&block), charge);
@@ -408,6 +402,9 @@ impl Table {
         let mut index_iter = self.index.iter();
         index_iter.seek(ikey);
         if !index_iter.valid() {
+            index_iter
+                .status()
+                .map_err(|e| at_block(self.file, self.index_offset, e))?;
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode(index_iter.value())?;
@@ -417,6 +414,8 @@ impl Table {
         if it.valid() {
             Ok(Some((it.key().to_vec(), it.value().to_vec())))
         } else {
+            it.status()
+                .map_err(|e| at_block(self.file, handle.offset, e))?;
             Ok(None)
         }
     }
@@ -435,6 +434,7 @@ impl Table {
             use_cache: !matches!(kind, IoKind::CompactionRead),
             index_iter: self.index.iter(),
             block_iter: None,
+            block_offset: 0,
             error: None,
         }
     }
@@ -449,16 +449,22 @@ pub struct TableIterator {
     use_cache: bool,
     index_iter: BlockIter,
     block_iter: Option<BlockIter>,
-    error: Option<crate::error::Error>,
+    /// File offset of the block `block_iter` walks.
+    block_offset: u64,
+    error: Option<Error>,
 }
 
 impl TableIterator {
     fn load_block(&mut self) {
         self.block_iter = None;
         if !self.index_iter.valid() {
+            if let Err(e) = self.index_iter.status() {
+                self.error = Some(at_block(self.table.file, self.table.index_offset, e));
+            }
             return;
         }
         match BlockHandle::decode(self.index_iter.value()).and_then(|(h, _)| {
+            self.block_offset = h.offset;
             self.table
                 .read_block(&self.ctx, h, self.kind, self.use_cache)
         }) {
@@ -470,7 +476,15 @@ impl TableIterator {
     /// Skips forward through index entries until the data iterator is
     /// valid or the index is exhausted.
     fn skip_empty_blocks(&mut self) {
-        while self.block_iter.as_ref().is_some_and(|b| !b.valid()) {
+        while let Some(b) = self.block_iter.as_ref().filter(|b| !b.valid()) {
+            // A block that stopped on a malformed entry ends the scan
+            // with an error: its unread tail must not look like a clean
+            // end (a compaction would install outputs missing it).
+            if let Err(e) = b.status() {
+                self.error = Some(at_block(self.table.file, self.block_offset, e));
+                self.block_iter = None;
+                return;
+            }
             if !self.index_iter.valid() {
                 self.block_iter = None;
                 return;
@@ -523,7 +537,7 @@ impl InternalIterator for TableIterator {
         self.block_iter.as_ref().expect("valid iterator").value()
     }
 
-    fn take_error(&mut self) -> Option<crate::error::Error> {
+    fn take_error(&mut self) -> Option<Error> {
         self.error.take()
     }
 }
@@ -535,32 +549,38 @@ pub fn scan_all(data: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         return corruption("table smaller than footer");
     }
     let (_, index_handle) = parse_footer(&data[data.len() - FOOTER_SIZE..])?;
-    let end = (index_handle.offset + index_handle.size) as usize + BLOCK_TRAILER_SIZE;
-    if end > data.len() {
-        return corruption("index handle out of range");
-    }
-    let index = Arc::new(Block::new(check_block(
-        &data[index_handle.offset as usize..end],
-    )?)?);
+    let index = Arc::new(Block::new(verified_slice(data, index_handle)?.to_vec())?);
     let mut out = Vec::new();
     let mut ii = index.iter();
     ii.seek_to_first();
     while ii.valid() {
         let (h, _) = BlockHandle::decode(ii.value())?;
-        let bend = (h.offset + h.size) as usize + BLOCK_TRAILER_SIZE;
-        if bend > data.len() {
-            return corruption("data block out of range");
-        }
-        let block = Arc::new(Block::new(check_block(&data[h.offset as usize..bend])?)?);
+        let block = Arc::new(Block::new(verified_slice(data, h)?.to_vec())?);
         let mut bi = block.iter();
         bi.seek_to_first();
         while bi.valid() {
             out.push((bi.key().to_vec(), bi.value().to_vec()));
             bi.next();
         }
+        bi.status()?;
         ii.next();
     }
+    ii.status()?;
     Ok(out)
+}
+
+/// The verified contents of the block `h` names inside a whole table
+/// image.
+fn verified_slice(data: &[u8], h: BlockHandle) -> Result<&[u8]> {
+    let start = h.offset as usize;
+    let end = start
+        .checked_add(h.size as usize)
+        .and_then(|end| end.checked_add(BLOCK_TRAILER_SIZE));
+    let Some(image) = end.and_then(|end| data.get(start..end)) else {
+        return corruption(format!("block at offset {} out of range", h.offset));
+    };
+    let len = verify_block(image)?;
+    Ok(&image[..len])
 }
 
 #[cfg(test)]
@@ -689,6 +709,73 @@ mod tests {
         assert!(msg.contains("file 1"), "{msg}");
         assert!(msg.contains("offset 0"), "{msg}");
         assert_eq!(ctx.lock().fs.disk().stats().faults.checksum_failures, 1);
+    }
+
+    /// A one-data-block table holding `contents` verbatim under a valid
+    /// CRC, indexed under a key past every probe.
+    fn table_with_raw_block(contents: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let handle = TableBuilder::write_raw_block(&mut buf, contents);
+        let mut index = BlockBuilder::new(1);
+        index.add(&ik("zzz", MAX_SEQUENCE), &handle.encoded());
+        let index_handle = TableBuilder::write_raw_block(&mut buf, &index.finish());
+        let mut footer = Vec::with_capacity(FOOTER_SIZE);
+        BlockHandle { offset: 0, size: 0 }.encode(&mut footer);
+        index_handle.encode(&mut footer);
+        footer.resize(FOOTER_SIZE - 8, 0);
+        put_fixed64(&mut footer, TABLE_MAGIC);
+        buf.extend_from_slice(&footer);
+        buf
+    }
+
+    /// CRC-valid blocks with malformed entries, and a key each lookup
+    /// must reach: one whose last entry is cut short, one whose only key
+    /// is 3 bytes (shorter than the 8-byte trailer).
+    fn forged_blocks() -> [(Vec<u8>, Vec<u8>); 2] {
+        let mut b = BlockBuilder::new(16);
+        for i in 0..4 {
+            b.add(&ik(&format!("key{i}"), 1), b"value-bytes");
+        }
+        let full = b.finish();
+        let entries = &full[..full.len() - 8];
+        let mut truncated = entries[..entries.len() - 3].to_vec();
+        let mut short_key = vec![0, 3, 1, b'a', b'b', b'c', b'v'];
+        for block in [&mut truncated, &mut short_key] {
+            crate::util::coding::put_fixed32(block, 0);
+            crate::util::coding::put_fixed32(block, 1);
+        }
+        [
+            (truncated, types::lookup_key(b"key3", MAX_SEQUENCE)),
+            (short_key, types::lookup_key(b"abc", MAX_SEQUENCE)),
+        ]
+    }
+
+    #[test]
+    fn malformed_block_fails_get_and_iteration_with_file_and_offset() {
+        for (contents, probe) in forged_blocks() {
+            let data = table_with_raw_block(&contents);
+            let size = data.len() as u64;
+            let ctx = ctx_with_file(&data);
+            let table = Arc::new(Table::open(&ctx, 1, size).unwrap());
+            let err = table.get(&ctx, &probe).unwrap_err();
+            let msg = format!("{err}");
+            assert!(matches!(err, Error::Corruption(_)), "{msg}");
+            assert!(msg.contains("file 1 block at offset 0"), "{msg}");
+            // The CRC held: this is not a checksum failure.
+            assert_eq!(ctx.lock().fs.disk().stats().faults.checksum_failures, 0);
+
+            let mut it = table.iter(Arc::clone(&ctx), IoKind::CompactionRead);
+            it.seek_to_first();
+            while it.valid() {
+                it.next();
+            }
+            let err = it
+                .take_error()
+                .expect("iteration must report the bad block");
+            assert!(format!("{err}").contains("file 1 block at offset 0"));
+
+            assert!(matches!(scan_all(&data), Err(Error::Corruption(_))));
+        }
     }
 
     #[test]

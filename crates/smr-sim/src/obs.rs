@@ -386,50 +386,71 @@ impl LatencyHistogram {
     }
 }
 
+/// Metrics of one kind, keyed by (layer, name). A name is found by a
+/// borrowed `&str`, so only its first use allocates; iteration runs in
+/// (layer, name) order, as one map keyed by the pair would.
+#[derive(Clone, Debug, Default)]
+struct LayerMap<V>(BTreeMap<ObsLayer, BTreeMap<String, V>>);
+
+impl<V: Default> LayerMap<V> {
+    fn get(&self, layer: ObsLayer, name: &str) -> Option<&V> {
+        self.0.get(&layer)?.get(name)
+    }
+
+    /// The metric's slot, created with `V::default()` on first use.
+    fn slot(&mut self, layer: ObsLayer, name: &str) -> &mut V {
+        let names = self.0.entry(layer).or_default();
+        if !names.contains_key(name) {
+            names.insert(name.to_string(), V::default());
+        }
+        names.get_mut(name).expect("slot inserted above")
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (ObsLayer, &str, &V)> {
+        self.0
+            .iter()
+            .flat_map(|(layer, names)| names.iter().map(|(n, v)| (*layer, n.as_str(), v)))
+    }
+}
+
 /// Named counters and gauges, keyed by layer. BTreeMap keys give
 /// deterministic iteration order for export.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<(ObsLayer, String), u64>,
-    gauges: BTreeMap<(ObsLayer, String), f64>,
+    counters: LayerMap<u64>,
+    gauges: LayerMap<f64>,
 }
 
 impl MetricsRegistry {
     /// Adds `delta` to a counter, creating it at zero first if absent.
     pub fn counter_add(&mut self, layer: ObsLayer, name: &str, delta: u64) {
-        *self.counters.entry((layer, name.to_string())).or_insert(0) += delta;
+        *self.counters.slot(layer, name) += delta;
     }
 
     /// Current counter value (0 if never touched).
     pub fn counter(&self, layer: ObsLayer, name: &str) -> u64 {
-        self.counters
-            .get(&(layer, name.to_string()))
-            .copied()
-            .unwrap_or(0)
+        self.counters.get(layer, name).copied().unwrap_or(0)
     }
 
     /// Sets a gauge. Non-finite values are clamped to 0.0 so NaN can never
     /// reach an export.
     pub fn gauge_set(&mut self, layer: ObsLayer, name: &str, value: f64) {
         let v = if value.is_finite() { value } else { 0.0 };
-        self.gauges.insert((layer, name.to_string()), v);
+        *self.gauges.slot(layer, name) = v;
     }
 
     /// Current gauge value (0.0 if never set).
     pub fn gauge(&self, layer: ObsLayer, name: &str) -> f64 {
-        self.gauges
-            .get(&(layer, name.to_string()))
-            .copied()
-            .unwrap_or(0.0)
+        self.gauges.get(layer, name).copied().unwrap_or(0.0)
     }
 
     /// Counters in deterministic (layer, name) order.
-    pub fn counters(&self) -> impl Iterator<Item = (&(ObsLayer, String), &u64)> {
+    pub fn counters(&self) -> impl Iterator<Item = (ObsLayer, &str, &u64)> {
         self.counters.iter()
     }
 
     /// Gauges in deterministic (layer, name) order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&(ObsLayer, String), &f64)> {
+    pub fn gauges(&self) -> impl Iterator<Item = (ObsLayer, &str, &f64)> {
         self.gauges.iter()
     }
 }
@@ -439,7 +460,7 @@ impl MetricsRegistry {
 pub struct Obs {
     /// Counter/gauge registry.
     pub registry: MetricsRegistry,
-    hists: BTreeMap<(ObsLayer, String), LatencyHistogram>,
+    hists: LayerMap<LatencyHistogram>,
     /// Event ring buffer.
     pub tracer: EventTracer,
 }
@@ -463,19 +484,16 @@ impl Obs {
     /// Records one latency sample into the named histogram, creating the
     /// histogram on first use.
     pub fn latency(&mut self, layer: ObsLayer, name: &str, ns: u64) {
-        self.hists
-            .entry((layer, name.to_string()))
-            .or_default()
-            .record(ns);
+        self.hists.slot(layer, name).record(ns);
     }
 
     /// Looks up a histogram by (layer, name).
     pub fn histogram(&self, layer: ObsLayer, name: &str) -> Option<&LatencyHistogram> {
-        self.hists.get(&(layer, name.to_string()))
+        self.hists.get(layer, name)
     }
 
     /// Histograms in deterministic (layer, name) order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&(ObsLayer, String), &LatencyHistogram)> {
+    pub fn histograms(&self) -> impl Iterator<Item = (ObsLayer, &str, &LatencyHistogram)> {
         self.hists.iter()
     }
 
@@ -495,21 +513,21 @@ impl Obs {
     pub fn to_json(&self, trace_tail: usize) -> String {
         let mut s = String::new();
         s.push_str("{\"counters\":{");
-        for (i, ((layer, name), v)) in self.registry.counters().enumerate() {
+        for (i, (layer, name, v)) in self.registry.counters().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             let _ = write!(s, "\"{}.{}\":{}", layer.name(), name, v);
         }
         s.push_str("},\"gauges\":{");
-        for (i, ((layer, name), v)) in self.registry.gauges().enumerate() {
+        for (i, (layer, name, v)) in self.registry.gauges().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             let _ = write!(s, "\"{}.{}\":{}", layer.name(), name, fmt_f64(*v));
         }
         s.push_str("},\"histograms\":{");
-        for (i, ((layer, name), h)) in self.histograms().enumerate() {
+        for (i, (layer, name, h)) in self.histograms().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -543,13 +561,13 @@ impl Obs {
     /// Deterministic CSV: one `section,layer,name,...` row per metric.
     pub fn to_csv(&self) -> String {
         let mut s = String::from("section,layer,name,value,count,p50_ns,p95_ns,p99_ns,max_ns\n");
-        for ((layer, name), v) in self.registry.counters() {
+        for (layer, name, v) in self.registry.counters() {
             let _ = writeln!(s, "counter,{},{},{},,,,,", layer.name(), name, v);
         }
-        for ((layer, name), v) in self.registry.gauges() {
+        for (layer, name, v) in self.registry.gauges() {
             let _ = writeln!(s, "gauge,{},{},{},,,,,", layer.name(), name, fmt_f64(*v));
         }
-        for ((layer, name), h) in self.histograms() {
+        for (layer, name, h) in self.histograms() {
             let _ = writeln!(
                 s,
                 "histogram,{},{},{},{},{},{},{},{}",
@@ -719,7 +737,7 @@ mod tests {
         assert_eq!(r.gauge(ObsLayer::Cache, "hit_ratio"), 0.0);
         let keys: Vec<String> = r
             .counters()
-            .map(|((l, n), _)| format!("{}.{}", l.name(), n))
+            .map(|(l, n, _)| format!("{}.{}", l.name(), n))
             .collect();
         // Device sorts before Lsm: deterministic bottom-up order.
         assert_eq!(keys, vec!["device.seeks", "lsm.flush_bytes"]);
