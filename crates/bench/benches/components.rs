@@ -85,6 +85,19 @@ fn bench_table() {
         }
         t.finish()
     });
+    // The value-log store's table shape: 25-byte pointers as values and
+    // no bloom filter.
+    let ptr_opts = TableOptions {
+        bloom_bits_per_key: 0,
+        ..TableOptions::default()
+    };
+    bench("table/build-5k-ptr", || {
+        let mut t = TableBuilder::new(ptr_opts);
+        for (k, _) in &entries {
+            t.add(k, &[1u8; 25]);
+        }
+        t.finish()
+    });
     let mut t = TableBuilder::new(TableOptions::default());
     for (k, v) in &entries {
         t.add(k, v);

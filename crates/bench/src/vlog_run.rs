@@ -220,7 +220,7 @@ pub fn run_sweep(scale: &BenchScale) -> Result<Vec<VlogCell>> {
 }
 
 /// Serialises the sweep as the `BENCH_pr8.json` artifact — one cell per
-/// line so the CI awk gate can scan it without a JSON parser.
+/// line so the checker can scan it without a JSON parser.
 pub fn sweep_to_json(scale: &BenchScale, cells: &[VlogCell]) -> String {
     let mut s = String::new();
     let _ = write!(
@@ -273,8 +273,10 @@ pub fn vlog_sweep(scale: &BenchScale) -> Result<String> {
 
 /// Validates a key-value-separation artifact: schema marker, all four
 /// cells, every cell key present the right number of times, no NaN/Inf,
-/// and the headline invariants (vlog update-WA strictly below inline
-/// per workload; zero lost keys). Returns the problems; empty = valid.
+/// and the headline invariants: per workload, vlog update-WA strictly
+/// below inline and a strictly higher saturation knee; on workload A,
+/// vlog update-WA at most half of inline; zero lost keys. Returns the
+/// problems; empty = valid.
 pub fn check_vlog_json(content: &str) -> Vec<String> {
     let mut problems = Vec::new();
     let marker = format!("\"schema\":\"{VLOG_SCHEMA}\"");
@@ -301,7 +303,7 @@ pub fn check_vlog_json(content: &str) -> Vec<String> {
         }
     }
     crate::push_non_finite(content, &mut problems);
-    // Headline invariants, mirrored by the CI awk gate.
+    // Headline invariants.
     for w in WORKLOADS {
         let wa = |v: bool| cell_value(content, w, v, "update_wa");
         match (wa(false), wa(true)) {
@@ -311,8 +313,24 @@ pub fn check_vlog_json(content: &str) -> Vec<String> {
                         "workload {w}: vlog update_wa {vlog} not below inline {inline}"
                     ));
                 }
+                if w == "A" && vlog * 2.0 > inline {
+                    problems.push(format!(
+                        "workload A: vlog update_wa {vlog} not 2x below inline {inline}"
+                    ));
+                }
             }
             _ => problems.push(format!("workload {w}: missing inline/vlog update_wa pair")),
+        }
+        let knee = |v: bool| cell_value(content, w, v, "saturation_ops_per_sec");
+        match (knee(false), knee(true)) {
+            (Some(inline), Some(vlog)) => {
+                if vlog <= inline {
+                    problems.push(format!(
+                        "workload {w}: vlog knee {vlog} not above inline {inline}"
+                    ));
+                }
+            }
+            _ => problems.push(format!("workload {w}: missing inline/vlog knee pair")),
         }
     }
     for (i, _) in content.match_indices("\"lost_keys\":") {
@@ -418,5 +436,70 @@ mod tests {
         assert!(check_vlog_json(&lost)
             .iter()
             .any(|p| p.contains("lost keys")));
+    }
+
+    /// Replaces one numeric field of one cell, leaving the rest intact.
+    fn with_cell_value(doc: &str, workload: &str, vlog: bool, key: &str, v: &str) -> String {
+        let tag = format!("\"workload\":\"{workload}\",\"vlog\":{vlog},");
+        let pat = format!("\"{key}\":");
+        doc.lines()
+            .map(|l| match l.find(&pat) {
+                Some(i) if l.contains(&tag) => {
+                    let start = i + pat.len();
+                    let end = start
+                        + l[start..]
+                            .find(|c: char| c != '.' && !c.is_ascii_digit())
+                            .unwrap_or(l.len() - start);
+                    format!("{}{v}{}", &l[..start], &l[end..])
+                }
+                _ => l.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn checker_rejects_a_vlog_knee_not_above_inline() {
+        let good = artifact();
+        for w in WORKLOADS {
+            let inline = cell_value(good, w, false, "saturation_ops_per_sec").unwrap();
+            let bad = with_cell_value(
+                good,
+                w,
+                true,
+                "saturation_ops_per_sec",
+                &format!("{inline:.3}"),
+            );
+            assert_eq!(
+                cell_value(&bad, w, true, "saturation_ops_per_sec"),
+                Some(inline)
+            );
+            assert!(
+                check_vlog_json(&bad)
+                    .iter()
+                    .any(|p| p.contains(&format!("workload {w}: vlog knee"))),
+                "{w}"
+            );
+        }
+    }
+
+    #[test]
+    fn checker_rejects_a_vlog_wa_on_a_above_half_of_inline() {
+        let good = artifact();
+        let inline = cell_value(good, "A", false, "update_wa").unwrap();
+        // Just over half of inline: still below it, but not 2x below.
+        let bad = with_cell_value(
+            good,
+            "A",
+            true,
+            "update_wa",
+            &format!("{:.4}", inline / 2.0 + 0.01),
+        );
+        let problems = check_vlog_json(&bad);
+        assert!(
+            problems.iter().any(|p| p.contains("not 2x below")),
+            "{problems:?}"
+        );
+        assert!(!problems.iter().any(|p| p.contains("not below inline")));
     }
 }

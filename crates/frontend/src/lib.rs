@@ -27,8 +27,9 @@
 //!   front-end drives [`sealdb::Store::compact_step`] during idle gaps,
 //!   standing in for the background compaction thread.
 //! * **Degraded mode** — point reads retry device errors with capped
-//!   backoff and are served as misses when the retries run out; a
-//!   client that exhausts its error budget walks away.
+//!   backoff and are served as misses when the retries run out, a scan
+//!   that fails is served empty; a client that exhausts its error
+//!   budget walks away.
 
 use lsm_core::{Result, ScrubConfig, StallStats, WriteBatch};
 use sealdb::Store;
@@ -215,7 +216,7 @@ pub struct ServeResult {
     /// retry (the request was served, but degraded).
     pub degraded_reads: u64,
     /// Point reads that exhausted their retry budget and were served as
-    /// misses.
+    /// misses, plus scans that failed (served empty).
     pub failed_reads: u64,
     /// Files the in-flight scrubber repaired during idle gaps.
     pub repaired_in_flight: u64,
@@ -678,8 +679,15 @@ fn serve_loop(
             }
             Op::Get(key) => op_failure_events = tally_read(store, cfg, &key, &mut r),
             Op::Scan(key, len) => {
-                // A store-local scan: the routed store's range.
-                store.scan(&key, len)?;
+                // A store-local scan: the routed store's range. One that
+                // fails (a lost block, a pointer into a quarantined
+                // segment) is served empty as a failed read, not allowed
+                // to tear down the serving loop. Transient read errors
+                // never get here: the file store retries those.
+                if store.scan(&key, len).is_err() {
+                    r.failed_reads += 1;
+                    op_failure_events = 1;
+                }
             }
             Op::Rmw(key, value) => {
                 op_failure_events = tally_read(store, cfg, &key, &mut r);
@@ -1103,6 +1111,31 @@ mod tests {
         assert!(!b.note_op(0, 0));
         assert!(b.note_op(0, 1));
         assert!(b.tripped(0));
+    }
+
+    #[test]
+    fn scans_over_a_dead_table_fail_as_reads_without_ending_the_run() {
+        let gen = RecordGenerator::new(16, 100, 1);
+        let mut store = preloaded(StoreKind::SealDb, &gen, 200);
+        let ext = largest_file_extent(&store);
+        store
+            .db
+            .ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .fail_reads_permanently(smr_sim::Extent::new(ext.offset, ext.len));
+        let cfg = ServeConfig::new(
+            WorkloadSpec::e(),
+            ArrivalProcess::ClosedLoop { think_ns: 0 },
+            2,
+            100,
+            200,
+        );
+        let r = run_serve(&mut store, &gen, &cfg).unwrap();
+        assert!(r.failed_reads > 0, "scans into the dead table must fail");
+        assert_eq!(r.ops + r.abandoned_ops, 100, "every op is accounted");
     }
 
     #[test]

@@ -1045,16 +1045,20 @@ impl DbCore {
         let smallest_snapshot = self.smallest_snapshot();
         let mut outputs = PendingOutputs::default();
         let mut builder: Option<TableBuilder> = None;
+        // The current key is borrowed from the merge and the last user
+        // key's buffer is reused: the loop allocates nothing per entry.
         let mut last_user_key: Option<Vec<u8>> = None;
         let mut last_seq_for_key = MAX_SEQUENCE;
         let mut gp_index = 0usize;
         let mut gp_overlap = 0u64;
         while merged.valid() {
-            let ikey = merged.key().to_vec();
-            let ukey = user_key(&ikey);
+            let ikey = merged.key();
+            let ukey = user_key(ikey);
             let first_occurrence = last_user_key.as_deref() != Some(ukey);
             if first_occurrence {
-                last_user_key = Some(ukey.to_vec());
+                let last = last_user_key.get_or_insert_with(Vec::new);
+                last.clear();
+                last.extend_from_slice(ukey);
                 last_seq_for_key = MAX_SEQUENCE;
                 // Output splitting on grandparent overlap.
                 while gp_index < c.grandparents.len()
@@ -1070,7 +1074,7 @@ impl DbCore {
                     gp_overlap = 0;
                 }
             }
-            let (seq, ty) = try_parse_trailer(&ikey)?;
+            let (seq, ty) = try_parse_trailer(ikey)?;
             let drop_entry = if last_seq_for_key <= smallest_snapshot {
                 // A newer version of this key is visible at every live
                 // snapshot: nothing can observe this one.
@@ -1083,7 +1087,7 @@ impl DbCore {
             last_seq_for_key = seq;
             if !drop_entry {
                 let b = builder.get_or_insert_with(|| TableBuilder::new(self.opts.table_options()));
-                b.add(&ikey, merged.value());
+                b.add(ikey, merged.value());
                 if b.file_size_estimate() >= self.opts.sstable_size {
                     let b = builder.take().expect("builder present");
                     Self::finish_output(&mut outputs, &mut self.versions, b);
@@ -1337,14 +1341,22 @@ impl DbCore {
         }
         let mut it = DbIterator::new(MergingIterator::new(children), snapshot);
         it.seek(start);
-        Ok(it.collect(limit))
+        let rows = it.collect(limit);
+        // A child that hit a bad block stopped early, which looks just
+        // like the end of the data: fail instead of returning short.
+        match it.take_error() {
+            Some(e) => Err(e),
+            None => Ok(rows),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sstable::table::BlockHandle;
     use placement::Ext4Sim;
+    use scrub::ScrubConfig;
     use smr_sim::{Layout, TimeModel};
 
     const MB: u64 = 1 << 20;
@@ -1367,12 +1379,10 @@ mod tests {
         )
     }
 
-    /// Rewrites the first data block of table `f` in place after `forge`
-    /// mangles its contents, under a freshly computed (valid) CRC.
-    fn forge_first_block(db: &DbCore, f: &FileMetaData, forge: impl FnOnce(&mut [u8])) {
-        use crate::sstable::table::{parse_footer, BlockHandle, BLOCK_TRAILER_SIZE};
+    /// Handles of table `f`'s index block and first data block.
+    fn block_handles(db: &DbCore, f: &FileMetaData) -> (BlockHandle, BlockHandle) {
+        use crate::sstable::table::parse_footer;
         use crate::sstable::{Block, FOOTER_SIZE};
-        use crate::util::crc32c;
         let mut guard = db.ctx().lock();
         let data = guard.fs.read_file(f.id, 0, f.size, IoKind::Meta).unwrap();
         let (_, ih) = parse_footer(&data[data.len() - FOOTER_SIZE..]).unwrap();
@@ -1380,21 +1390,44 @@ mod tests {
         let index = std::sync::Arc::new(Block::new(data[index.0..index.1].to_vec()).unwrap());
         let mut ii = index.iter();
         ii.seek_to_first();
-        let (h, _) = BlockHandle::decode(ii.value()).unwrap();
-        assert_eq!(h.offset, 0);
+        let (first, _) = BlockHandle::decode(ii.value()).unwrap();
+        assert_eq!(first.offset, 0);
+        (ih, first)
+    }
+
+    /// Rewrites block `h` of table `f` in place after `forge` mangles its
+    /// contents, under a freshly computed (valid) CRC.
+    fn forge_block(db: &DbCore, f: &FileMetaData, h: BlockHandle, forge: impl FnOnce(&mut [u8])) {
+        use crate::sstable::table::BLOCK_TRAILER_SIZE;
+        use crate::util::crc32c;
+        let mut guard = db.ctx().lock();
         let size = h.size as usize;
-        let mut image = data[..size + BLOCK_TRAILER_SIZE].to_vec();
+        let mut image = guard
+            .fs
+            .read_file(
+                f.id,
+                h.offset,
+                (size + BLOCK_TRAILER_SIZE) as u64,
+                IoKind::Meta,
+            )
+            .unwrap();
         forge(&mut image[..size]);
         let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(&image[..size]), &[0]));
         image[size + 1..].copy_from_slice(&crc.to_le_bytes());
         let ext = guard.fs.file_extent(f.id).unwrap();
-        let ext = smr_sim::Extent::new(ext.offset, image.len() as u64);
+        let ext = smr_sim::Extent::new(ext.offset + h.offset, image.len() as u64);
         guard
             .fs
             .disk_mut()
             .write(ext, &image, IoKind::Meta)
             .unwrap();
         guard.block_cache.clear();
+    }
+
+    /// [`forge_block`] on the table's first data block.
+    fn forge_first_block(db: &DbCore, f: &FileMetaData, forge: impl FnOnce(&mut [u8])) {
+        let (_, first) = block_handles(db, f);
+        forge_block(db, f, first, forge);
     }
 
     /// Cuts the block's last entry short: its value length is raised past
@@ -1456,6 +1489,43 @@ mod tests {
             );
             assert_eq!(file_ids(&db), before, "nothing installed");
         }
+    }
+
+    #[test]
+    fn scan_over_a_malformed_block_fails_instead_of_coming_back_short() {
+        let mut db = open_db(64 << 10);
+        for i in 0..50 {
+            let (k, v) = kv(i);
+            db.put(&k, &v).unwrap();
+        }
+        db.flush().unwrap();
+        assert_eq!(db.scan(b"", 100).unwrap().len(), 50);
+        let table = (*db.current_version().files[0][0]).clone();
+        forge_first_block(&db, &table, truncate_last_entry);
+        let err = db.scan(b"", 100).unwrap_err();
+        let msg = format!("{err}");
+        assert!(matches!(err, crate::error::Error::Corruption(_)), "{msg}");
+        assert!(
+            msg.contains(&format!("file {} block at offset 0", table.id)),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn scrub_classifies_a_malformed_index_entry_dead() {
+        let mut db = open_db(64 << 10);
+        for i in 0..200 {
+            let (k, v) = kv(i);
+            db.put(&k, &v).unwrap();
+        }
+        db.flush().unwrap();
+        let table = (*db.current_version().files[0][0]).clone();
+        let (index, _) = block_handles(&db, &table);
+        forge_block(&db, &table, index, truncate_last_entry);
+        let report = db.scrub_full(&ScrubConfig::default()).unwrap();
+        assert_eq!(report.files_quarantined, 1, "index uncorrectable");
+        assert_eq!(report.files_repaired, 0);
+        assert!(db.current_version().files[0].is_empty());
     }
 
     #[test]

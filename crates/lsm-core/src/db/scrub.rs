@@ -428,8 +428,12 @@ impl DbCore {
         // a block that verified moments ago verifies again).
         let mut ii = index.iter();
         ii.seek_to_first();
+        let mut handles_ok = true;
         while ii.valid() {
-            let (handle, _) = BlockHandle::decode(ii.value())?;
+            let Ok((handle, _)) = BlockHandle::decode(ii.value()) else {
+                handles_ok = false;
+                break;
+            };
             let was_clean = scan.health == FileHealth::Clean;
             match self.check_one_block(f.id, handle, &mut scan)? {
                 Some(contents) => {
@@ -448,6 +452,13 @@ impl DbCore {
                 }
             }
             ii.next();
+        }
+        // A malformed index entry ends the walk early, and the blocks
+        // past it cannot be located: the index is uncorrectable.
+        if !handles_ok || ii.status().is_err() {
+            scan.health = FileHealth::Dead;
+            scan.bad_extents
+                .push(abs(index_handle.offset, index_handle.size));
         }
         Ok(scan)
     }

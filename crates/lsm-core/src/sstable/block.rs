@@ -70,11 +70,25 @@ impl BlockBuilder {
 
     /// Serialises the block (entries + restart array + count).
     pub fn finish(mut self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.current_size_estimate());
+        self.finish_into(&mut out);
+        out
+    }
+
+    /// Appends the serialised block to `out` and resets the builder
+    /// for the next block, keeping its buffers.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.buf);
         for &r in &self.restarts {
-            put_fixed32(&mut self.buf, r);
+            put_fixed32(out, r);
         }
-        put_fixed32(&mut self.buf, self.restarts.len() as u32);
-        self.buf
+        put_fixed32(out, self.restarts.len() as u32);
+        self.buf.clear();
+        self.restarts.clear();
+        self.restarts.push(0);
+        self.counter = 0;
+        self.last_key.clear();
+        self.entries = 0;
     }
 
     /// Bytes the finished block would occupy.

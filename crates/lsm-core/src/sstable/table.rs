@@ -118,8 +118,11 @@ pub struct TableBuilder {
     opts: TableOptions,
     buf: Vec<u8>,
     block: BlockBuilder,
-    index_entries: Vec<(Vec<u8>, BlockHandle)>,
-    pending: Option<(Vec<u8>, BlockHandle)>,
+    index: BlockBuilder,
+    /// Handle of the last finished data block, whose index entry waits
+    /// for the next key (the separator needs both sides).
+    pending: Option<BlockHandle>,
+    /// User keys for the bloom filter; collected only when one is built.
     user_keys: Vec<Vec<u8>>,
     first_key: Option<Vec<u8>>,
     last_key: Vec<u8>,
@@ -133,7 +136,7 @@ impl TableBuilder {
             opts,
             buf: Vec::new(),
             block: BlockBuilder::new(opts.restart_interval),
-            index_entries: Vec::new(),
+            index: BlockBuilder::new(1),
             pending: None,
             user_keys: Vec::new(),
             first_key: None,
@@ -145,13 +148,17 @@ impl TableBuilder {
     /// Adds an entry; internal keys must arrive in strictly increasing
     /// order.
     pub fn add(&mut self, ikey: &[u8], value: &[u8]) {
-        if let Some((last, handle)) = self.pending.take() {
-            self.index_entries.push((separator(&last, ikey), handle));
+        if let Some(handle) = self.pending.take() {
+            // `last_key` is still the finished block's last key.
+            self.index
+                .add(&separator(&self.last_key, ikey), &handle.encoded());
         }
         if self.first_key.is_none() {
             self.first_key = Some(ikey.to_vec());
         }
-        self.user_keys.push(user_key(ikey).to_vec());
+        if self.opts.bloom_bits_per_key > 0 {
+            self.user_keys.push(user_key(ikey).to_vec());
+        }
         self.block.add(ikey, value);
         self.last_key.clear();
         self.last_key.extend_from_slice(ikey);
@@ -161,29 +168,32 @@ impl TableBuilder {
         }
     }
 
-    fn write_raw_block(buf: &mut Vec<u8>, contents: &[u8]) -> BlockHandle {
+    /// Appends the block trailer (type byte + masked CRC32C) to the
+    /// contents written at `buf[start..]`, checksumming them in place.
+    fn seal_block(buf: &mut Vec<u8>, start: usize) -> BlockHandle {
         let handle = BlockHandle {
-            offset: buf.len() as u64,
-            size: contents.len() as u64,
+            offset: start as u64,
+            size: (buf.len() - start) as u64,
         };
-        buf.extend_from_slice(contents);
         buf.push(0); // type byte: uncompressed
-        let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &[0]));
+        let crc = crc32c::mask(crc32c::crc32c(&buf[start..]));
         buf.extend_from_slice(&crc.to_le_bytes());
         handle
+    }
+
+    fn write_raw_block(buf: &mut Vec<u8>, contents: &[u8]) -> BlockHandle {
+        let start = buf.len();
+        buf.extend_from_slice(contents);
+        Self::seal_block(buf, start)
     }
 
     fn flush_block(&mut self) {
         if self.block.is_empty() {
             return;
         }
-        let last = self.block.last_key().to_vec();
-        let block = std::mem::replace(
-            &mut self.block,
-            BlockBuilder::new(self.opts.restart_interval),
-        );
-        let handle = Self::write_raw_block(&mut self.buf, &block.finish());
-        self.pending = Some((last, handle));
+        let start = self.buf.len();
+        self.block.finish_into(&mut self.buf);
+        self.pending = Some(Self::seal_block(&mut self.buf, start));
     }
 
     /// Number of entries added so far.
@@ -209,8 +219,9 @@ impl TableBuilder {
     /// Finishes the table and returns the file bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.flush_block();
-        if let Some((last, handle)) = self.pending.take() {
-            self.index_entries.push((successor(&last), handle));
+        if let Some(handle) = self.pending.take() {
+            self.index
+                .add(&successor(&self.last_key), &handle.encoded());
         }
         // Filter block.
         let filter_handle = if self.opts.bloom_bits_per_key > 0 {
@@ -220,11 +231,9 @@ impl TableBuilder {
             BlockHandle { offset: 0, size: 0 }
         };
         // Index block.
-        let mut index = BlockBuilder::new(1);
-        for (key, handle) in &self.index_entries {
-            index.add(key, &handle.encoded());
-        }
-        let index_handle = Self::write_raw_block(&mut self.buf, &index.finish());
+        let start = self.buf.len();
+        self.index.finish_into(&mut self.buf);
+        let index_handle = Self::seal_block(&mut self.buf, start);
         // Footer.
         let mut footer = Vec::with_capacity(FOOTER_SIZE);
         filter_handle.encode(&mut footer);

@@ -35,7 +35,7 @@ impl Store {
         if let Some(e) = relocation.error {
             return Err(e);
         }
-        let (victim, finished) = (relocation.victim, relocation.finished);
+        let (victim, finished) = (relocation.scan.segment, relocation.scan.finished);
         if finished {
             // BUG (intentional): no sync_wal() and no record_durable()
             // before the retire — the auditor sees the recycle while

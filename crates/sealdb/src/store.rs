@@ -3,7 +3,7 @@
 
 use crate::config::StoreKind;
 use lsm_core::{CompactionRecord, DbCore, Result, ScrubConfig, ScrubReport, SetStats, WriteBatch};
-use seal_vlog::{decode_stored, encode_inline, encode_pointer, StoredValue, ValueLog};
+use seal_vlog::{decode_stored, encode_inline, encode_pointer, GcScan, StoredValue, ValueLog};
 use smr_sim::{neutral_ratio, Extent, IoStats, Obs, ObsLayer, TraceEvent};
 
 /// One of the paper's key-value stores, ready for workloads.
@@ -139,23 +139,38 @@ pub struct GcShipment {
     pub barrier_error: Option<lsm_core::Error>,
 }
 
-/// Result of [`Store::vlog_gc_relocate`]: the victim scan's identity
-/// and progress plus everything a caller needs to finish (barrier,
-/// retirement) and, on a replication primary, to ship.
+/// Result of [`Store::vlog_gc_relocate`]: the victim scan plus
+/// everything a caller needs to finish (barrier, retirement) and, on a
+/// replication primary, to ship.
 pub(crate) struct GcRelocation {
-    /// Victim segment id.
-    pub(crate) victim: u64,
-    /// Whether the victim's scan finished (retire it after the barrier).
-    pub(crate) finished: bool,
-    /// Relocated live `(key, original value)` pairs, in fixup order.
-    pub(crate) entries: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The victim scan. `scan.finished` says whether to retire the
+    /// victim after the barrier; it is cleared when the fixup write
+    /// errored after committing.
+    pub(crate) scan: GcScan,
+    /// Indices of the scan's live records that were relocated, in
+    /// fixup order.
+    pub(crate) relocated: Vec<usize>,
     /// First sequence number the fixup batch consumed; meaningful only
-    /// when `entries` is non-empty.
+    /// when `relocated` is non-empty.
     pub(crate) first_seq: u64,
     /// Post-commit error from the fixup write, if any. The sequence
     /// range was consumed regardless — surface this only after any
     /// shipping obligation is met.
     pub(crate) error: Option<lsm_core::Error>,
+}
+
+impl GcRelocation {
+    /// The relocated records as `(key, original value)` pairs, in fixup
+    /// order: what a replication primary ships.
+    fn shipped_pairs(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.relocated
+            .iter()
+            .map(|&i| {
+                let (_, rec) = self.scan.record(i);
+                (rec.key().to_vec(), rec.value().to_vec())
+            })
+            .collect()
+    }
 }
 
 impl Store {
@@ -342,7 +357,7 @@ impl Store {
             // step re-picks the victim).
             return Err(e);
         }
-        let (victim, finished) = (relocation.victim, relocation.finished);
+        let (victim, finished) = (relocation.scan.segment, relocation.scan.finished);
         if finished {
             // Durability barrier: the fixups must survive a crash before
             // the victim's bytes can be freed, or recovery could replay
@@ -382,8 +397,10 @@ impl Store {
         let Some(relocation) = self.vlog_gc_relocate(budget_bytes)? else {
             return Ok(None);
         };
+        let entries = relocation.shipped_pairs();
+        let victim = relocation.scan.segment;
         let mut barrier_error = relocation.error;
-        if relocation.finished {
+        if relocation.scan.finished {
             // Durability barrier: the fixups must survive a crash before
             // the victim's bytes can be freed, or recovery could replay
             // pointers into a recycled band. An error past this point is
@@ -393,12 +410,11 @@ impl Store {
             let finish = self.db.sync_wal().and_then(|()| {
                 if let Some(a) = self.ord_audit.as_mut() {
                     a.record_durable(self.db.clock_ns());
-                    a.record_recycle(self.db.clock_ns(), relocation.victim);
+                    a.record_recycle(self.db.clock_ns(), victim);
                 }
                 let vlog = self.vlog.as_mut().expect("relocate checked vlog");
-                self.db.with_fs_and_policy(|fs, policy| {
-                    vlog.retire_segment(fs, policy, relocation.victim)
-                })?;
+                self.db
+                    .with_fs_and_policy(|fs, policy| vlog.retire_segment(fs, policy, victim))?;
                 if vlog.take_dirty() {
                     let blob = vlog.checkpoint();
                     self.db.commit_aux_state(blob)?;
@@ -411,7 +427,7 @@ impl Store {
             barrier_error = finish.err();
         }
         Ok(Some(GcShipment {
-            entries: relocation.entries,
+            entries,
             first_seq: relocation.first_seq,
             barrier_error,
         }))
@@ -432,7 +448,7 @@ impl Store {
         let Some(vlog) = self.vlog.as_mut() else {
             return Ok(None);
         };
-        let Some(scan) = self
+        let Some(mut scan) = self
             .db
             .with_fs_and_policy(|fs, _| vlog.gc_scan(fs, budget_bytes))?
         else {
@@ -446,25 +462,25 @@ impl Store {
         let exact = vlog.dead_is_exact();
         let mut fixups = WriteBatch::new();
         let mut ptr_segments: Vec<u64> = Vec::new();
-        let mut shipped: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for entry in &scan.entries {
+        let mut relocated = Vec::new();
+        for (i, (ptr, rec)) in scan.records().enumerate() {
             let live = exact
-                || match self.db.get(&entry.key)? {
+                || match self.db.get(rec.key())? {
                     Some(stored) => matches!(
                         decode_stored(&stored),
-                        Ok(StoredValue::Pointer(p)) if p == entry.ptr
+                        Ok(StoredValue::Pointer(p)) if p == ptr
                     ),
                     None => false,
                 };
             if !live {
                 continue;
             }
-            let new_ptr = self.db.with_fs_and_policy(|fs, policy| {
-                vlog.relocate(fs, policy, &entry.key, &entry.value)
-            })?;
+            let new_ptr = self
+                .db
+                .with_fs_and_policy(|fs, policy| vlog.relocate(fs, policy, rec))?;
             ptr_segments.push(new_ptr.segment);
-            fixups.put(&entry.key, &encode_pointer(new_ptr));
-            shipped.push((entry.key.clone(), entry.value.clone()));
+            fixups.put(rec.key(), &encode_pointer(new_ptr));
+            relocated.push(i);
         }
         // Same ordering rule as the append path: if relocation opened a
         // new band, the segment directory must commit before any fixup
@@ -478,6 +494,7 @@ impl Store {
             }
         }
         let first_seq = self.db.last_sequence() + 1;
+        let mut error = None;
         if !fixups.is_empty() {
             let count = u64::from(fixups.count());
             if let Some(a) = self.ord_audit.as_mut() {
@@ -500,21 +517,15 @@ impl Store {
                 // every replica inherits a gap. Reporting the scan as
                 // unfinished defers the retire barrier; the next step
                 // rescans the victim and finds these records dead.
-                return Ok(Some(GcRelocation {
-                    victim: scan.segment,
-                    finished: false,
-                    entries: shipped,
-                    first_seq,
-                    error: Some(e),
-                }));
+                scan.finished = false;
+                error = Some(e);
             }
         }
         Ok(Some(GcRelocation {
-            victim: scan.segment,
-            finished: scan.finished,
-            entries: shipped,
+            scan,
+            relocated,
             first_seq,
-            error: None,
+            error,
         }))
     }
 
@@ -744,7 +755,7 @@ impl Store {
         let Some(vlog) = self.vlog.as_mut() else {
             return Ok(());
         };
-        let entries = self.db.with_fs_and_policy(|fs, _| {
+        let salvage = self.db.with_fs_and_policy(|fs, _| {
             // Seal first: salvage relocation must not append into the
             // very band about to be fenced.
             vlog.seal(fs, seg);
@@ -757,21 +768,21 @@ impl Store {
         }
         let mut fixups = WriteBatch::new();
         let mut ptr_segments: Vec<u64> = Vec::new();
-        for entry in &entries {
-            let live = match self.db.get(&entry.key)? {
+        for (ptr, rec) in salvage.records() {
+            let live = match self.db.get(rec.key())? {
                 Some(stored) => {
-                    matches!(decode_stored(&stored), Ok(StoredValue::Pointer(p)) if p == entry.ptr)
+                    matches!(decode_stored(&stored), Ok(StoredValue::Pointer(p)) if p == ptr)
                 }
                 None => false,
             };
             if !live {
                 continue;
             }
-            let new_ptr = self.db.with_fs_and_policy(|fs, policy| {
-                vlog.relocate(fs, policy, &entry.key, &entry.value)
-            })?;
+            let new_ptr = self
+                .db
+                .with_fs_and_policy(|fs, policy| vlog.relocate(fs, policy, rec))?;
             ptr_segments.push(new_ptr.segment);
-            fixups.put(&entry.key, &encode_pointer(new_ptr));
+            fixups.put(rec.key(), &encode_pointer(new_ptr));
             report.blocks_corrected += 1;
         }
         // Commit the segment directory *before* the fixup pointers reach
@@ -1023,8 +1034,10 @@ impl Store {
 
 #[cfg(test)]
 mod tests {
+    use super::Store;
     use crate::config::{StoreConfig, StoreKind};
-    use smr_sim::ObsLayer;
+    use seal_vlog::{decode_stored, StoredValue, VlogPtr};
+    use smr_sim::{Extent, ObsLayer};
 
     fn exercised(kind: StoreKind) -> super::MetricsSnapshot {
         let cfg = StoreConfig::new(kind, 256 << 10, 1 << 30);
@@ -1222,6 +1235,66 @@ mod tests {
         for i in 0..60u64 {
             let key = format!("g{i:03}");
             assert!(s.get(key.as_bytes()).unwrap().is_some(), "{key} lost");
+        }
+    }
+
+    #[test]
+    fn vlog_gc_over_a_corrupt_live_record_fails_closed() {
+        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_default_vlog();
+        let mut s = cfg.build().unwrap();
+        let segment_bytes = s.vlog.as_ref().unwrap().params().segment_bytes;
+        let key = |i: u64| format!("c{i:06}").into_bytes();
+        let n = 3 * segment_bytes / 2048;
+        for i in 0..n {
+            s.put(&key(i), &vec![(i % 251) as u8; 2048]).unwrap();
+        }
+        // Overwriting every other key leaves sealed segments half dead.
+        for i in (0..n).step_by(2) {
+            s.put(&key(i), &[7u8; 2048]).unwrap();
+        }
+        s.flush().unwrap();
+        let victim = s.vlog.as_ref().unwrap().gc_candidate().expect("victim");
+        let pointer = |s: &mut Store, i: u64| match s.db.get(&key(i)).unwrap() {
+            Some(stored) => match decode_stored(&stored).unwrap() {
+                StoredValue::Pointer(p) => Some(p),
+                StoredValue::Inline(_) => None,
+            },
+            None => None,
+        };
+        let in_victim: Vec<(u64, VlogPtr)> = (0..n)
+            .filter_map(|i| pointer(&mut s, i).map(|p| (i, p)))
+            .filter(|(_, p)| p.segment == victim)
+            .collect();
+        // Corrupt one byte of a live record in the victim's middle.
+        let (_, bad) = in_victim[in_victim.len() / 2];
+        let ext = s.db.ctx().lock().fs.file_extent(victim).unwrap();
+        s.db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .corrupt_extent(Extent::new(ext.offset + bad.offset + bad.len - 1, 1));
+        let retired = s.vlog.as_ref().unwrap().stats().segments_retired;
+        let mut err = None;
+        for _ in 0..1000 {
+            if let Err(e) = s.vlog_gc_step(64 << 10) {
+                err = Some(e);
+                break;
+            }
+        }
+        let err = err.expect("GC must hit the corrupt record");
+        assert!(matches!(err, lsm_core::Error::Corruption(_)), "{err}");
+        // The scan does not step past the bad record on a retry.
+        assert!(s.vlog_gc_step(64 << 10).is_err());
+        let vlog = s.vlog.as_ref().unwrap();
+        assert_eq!(vlog.stats().segments_retired, retired, "nothing retired");
+        assert!(s.db.ctx().lock().fs.has_file(victim));
+        // Records before the bad one may have moved; from it on, every
+        // live record still points into the victim.
+        for &(i, p) in &in_victim {
+            if p.offset >= bad.offset {
+                assert_eq!(pointer(&mut s, i), Some(p), "key {i} relocated");
+            }
         }
     }
 

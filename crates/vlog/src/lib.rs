@@ -41,6 +41,14 @@ pub const POINTER_BYTES: usize = 1 + 8 + 8 + 8;
 /// Per-record framing overhead: crc32c + key length + value length.
 const RECORD_HEADER: u64 = 4 + 4 + 4;
 
+/// Total record length named by a record header (at least
+/// [`RECORD_HEADER`] bytes; the lengths are not yet verified).
+fn record_len(header: &[u8]) -> u64 {
+    let klen = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    let vlen = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    RECORD_HEADER + u64::from(klen) + u64::from(vlen)
+}
+
 /// Location of one value record inside the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VlogPtr {
@@ -70,12 +78,11 @@ pub fn encode_inline(value: &[u8]) -> Vec<u8> {
 }
 
 /// Encodes a value-log pointer for storage in the LSM.
-pub fn encode_pointer(ptr: VlogPtr) -> Vec<u8> {
-    let mut out = Vec::with_capacity(POINTER_BYTES);
-    out.push(POINTER_TAG);
-    out.extend_from_slice(&ptr.segment.to_le_bytes());
-    out.extend_from_slice(&ptr.offset.to_le_bytes());
-    out.extend_from_slice(&ptr.len.to_le_bytes());
+pub fn encode_pointer(ptr: VlogPtr) -> [u8; POINTER_BYTES] {
+    let mut out = [POINTER_TAG; POINTER_BYTES];
+    out[1..9].copy_from_slice(&ptr.segment.to_le_bytes());
+    out[9..17].copy_from_slice(&ptr.offset.to_le_bytes());
+    out[17..].copy_from_slice(&ptr.len.to_le_bytes());
     out
 }
 
@@ -201,28 +208,152 @@ pub struct VlogRecoveryReport {
     pub orphan_segments_dropped: usize,
 }
 
-/// One record surfaced by a GC or salvage scan.
-#[derive(Clone, Debug)]
-pub struct GcEntry {
-    /// The user key the record was written under.
-    pub key: Vec<u8>,
-    /// Where the record currently lives.
-    pub ptr: VlogPtr,
-    /// The value payload.
-    pub value: Vec<u8>,
+/// A CRC-verified record image (`crc | klen | vlen | key | value`),
+/// borrowed from the buffer it was read into. Only verification makes
+/// one, so holding a `Record` means its bytes checked out: GC
+/// relocation appends [`Record::image`] verbatim instead of decoding
+/// and re-encoding it.
+#[derive(Clone, Copy, Debug)]
+pub struct Record<'a> {
+    image: &'a [u8],
+    klen: usize,
 }
 
-/// Result of one budgeted GC scan step.
+impl<'a> Record<'a> {
+    /// Checks a whole record image: header present, CRC over the body,
+    /// then the header lengths against the body length.
+    fn verify(image: &'a [u8]) -> Result<Record<'a>> {
+        if image.len() < RECORD_HEADER as usize {
+            return Err(Error::Corruption(format!(
+                "value-log record shorter than its header ({} byte(s))",
+                image.len()
+            )));
+        }
+        let stored_crc = u32::from_le_bytes([image[0], image[1], image[2], image[3]]);
+        let body = &image[4..];
+        let computed = crc32c(body);
+        if computed != stored_crc {
+            return Err(Error::Corruption(format!(
+                "value-log record checksum mismatch: stored {stored_crc:#010x}, \
+                 computed {computed:#010x} over {} body byte(s)",
+                body.len()
+            )));
+        }
+        let klen = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
+        let vlen = u32::from_le_bytes([body[4], body[5], body[6], body[7]]) as usize;
+        if body.len() != 8 + klen + vlen {
+            return Err(Error::Corruption(format!(
+                "value-log record length mismatch: header says {}+{}, body is {}",
+                klen,
+                vlen,
+                body.len() - 8
+            )));
+        }
+        Ok(Record { image, klen })
+    }
+
+    /// The user key the record was written under.
+    pub fn key(&self) -> &'a [u8] {
+        &self.image[RECORD_HEADER as usize..][..self.klen]
+    }
+
+    /// The value payload.
+    pub fn value(&self) -> &'a [u8] {
+        &self.image[RECORD_HEADER as usize + self.klen..]
+    }
+
+    /// The whole on-disk image, header included.
+    pub fn image(&self) -> &'a [u8] {
+        self.image
+    }
+}
+
+/// Where one listed record of a [`GcScan`] lives on disk and in the
+/// scan's read buffer.
+#[derive(Clone, Copy, Debug)]
+struct GcEntry {
+    ptr: VlogPtr,
+    /// Start of the record image in the scan's buffer.
+    at: usize,
+    klen: usize,
+}
+
+/// Result of one budgeted GC scan step (or of a salvage): the records
+/// listed, in log order, each verified in place inside the bytes read.
+/// The caller decides liveness (current LSM pointer equals the
+/// record's address) and relocates.
 #[derive(Clone, Debug)]
 pub struct GcScan {
     /// The victim segment being drained.
     pub segment: u64,
-    /// Records scanned this step, in log order. The caller decides
-    /// liveness (current LSM pointer equals `ptr`) and relocates.
-    pub entries: Vec<GcEntry>,
     /// True once the victim is fully scanned; the caller must make its
     /// pointer fixups durable and then call [`ValueLog::retire_segment`].
     pub finished: bool,
+    entries: Vec<GcEntry>,
+    /// The bytes read, holding every entry's verified record image.
+    buf: Vec<u8>,
+}
+
+impl GcScan {
+    fn new(segment: u64) -> GcScan {
+        GcScan {
+            segment,
+            finished: false,
+            entries: Vec::new(),
+            buf: Vec::new(),
+        }
+    }
+
+    /// Verifies the record image at `buf[at..at + len]` in place and
+    /// lists it as the record at `offset` of the scanned segment.
+    fn push_verified(&mut self, at: usize, offset: u64, len: u64) -> Result<()> {
+        let image = self.buf.get(at..at + len as usize).ok_or_else(|| {
+            Error::Corruption(format!(
+                "value-log record at segment {} offset {offset} runs past its read",
+                self.segment
+            ))
+        })?;
+        let klen = Record::verify(image)?.klen;
+        self.entries.push(GcEntry {
+            ptr: VlogPtr {
+                segment: self.segment,
+                offset,
+                len,
+            },
+            at,
+            klen,
+        });
+        Ok(())
+    }
+
+    /// Number of records listed.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether no record was listed.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `i`-th listed record: its current address and verified
+    /// image. Panics if `i >= self.len()`.
+    pub fn record(&self, i: usize) -> (VlogPtr, Record<'_>) {
+        let e = self.entries[i];
+        let image = &self.buf[e.at..e.at + e.ptr.len as usize];
+        (
+            e.ptr,
+            Record {
+                image,
+                klen: e.klen,
+            },
+        )
+    }
+
+    /// Every listed record, in log order.
+    pub fn records(&self) -> impl Iterator<Item = (VlogPtr, Record<'_>)> {
+        (0..self.len()).map(|i| self.record(i))
+    }
 }
 
 /// Result of one budgeted scrub step over the log.
@@ -360,36 +491,6 @@ impl ValueLog {
         rec
     }
 
-    fn decode_record(bytes: &[u8]) -> Result<(Vec<u8>, Vec<u8>)> {
-        if bytes.len() < RECORD_HEADER as usize {
-            return Err(Error::Corruption(format!(
-                "value-log record shorter than its header ({} byte(s))",
-                bytes.len()
-            )));
-        }
-        let stored_crc = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let body = &bytes[4..];
-        if crc32c(body) != stored_crc {
-            return Err(Error::Corruption(format!(
-                "value-log record checksum mismatch: stored {stored_crc:#010x}, \
-                 computed {:#010x} over {} body byte(s)",
-                crc32c(body),
-                body.len()
-            )));
-        }
-        let klen = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-        let vlen = u32::from_le_bytes([body[4], body[5], body[6], body[7]]) as usize;
-        if body.len() != 8 + klen + vlen {
-            return Err(Error::Corruption(format!(
-                "value-log record length mismatch: header says {}+{}, body is {}",
-                klen,
-                vlen,
-                body.len() - 8
-            )));
-        }
-        Ok((body[8..8 + klen].to_vec(), body[8 + klen..].to_vec()))
-    }
-
     fn open_segment(
         &mut self,
         fs: &mut FileStore,
@@ -440,17 +541,18 @@ impl ValueLog {
         }
     }
 
+    /// Appends one encoded record image (`image` is
+    /// `encode_record(key, ..)`) to the active segment of `class`.
     fn append_record(
         &mut self,
         fs: &mut FileStore,
         policy: &mut dyn PlacementPolicy,
         class: SegClass,
         key: &[u8],
-        value: &[u8],
+        image: &[u8],
         kind: IoKind,
     ) -> Result<VlogPtr> {
-        let rec = Self::encode_record(key, value);
-        let rec_len = rec.len() as u64;
+        let rec_len = image.len() as u64;
         if rec_len > self.params.segment_bytes {
             return Err(Error::InvalidArgument(format!(
                 "value-log record of {rec_len} bytes exceeds the {}-byte segment capacity",
@@ -474,7 +576,7 @@ impl ValueLog {
             None => self.open_segment(fs, policy, class)?,
         };
         let offset = self.segments[&id].used;
-        fs.write_file_range(id, offset, &rec, kind)?;
+        fs.write_file_range(id, offset, image, kind)?;
         if let Some(seg) = self.segments.get_mut(&id) {
             seg.used += rec_len;
         }
@@ -499,8 +601,14 @@ impl ValueLog {
         // relocation), so that copy is now dead. The in-memory pointer
         // index is the HashKV per-group-metadata analogue — it costs no
         // I/O, unlike resolving the old pointer through the LSM.
-        if let Some(prev) = self.latest.insert(key.to_vec(), ptr) {
-            self.note_dead(prev);
+        match self.latest.get_mut(key) {
+            Some(slot) => {
+                let prev = std::mem::replace(slot, ptr);
+                self.note_dead(prev);
+            }
+            None => {
+                self.latest.insert(key.to_vec(), ptr);
+            }
         }
         Ok(ptr)
     }
@@ -516,27 +624,30 @@ impl ValueLog {
         value: &[u8],
     ) -> Result<VlogPtr> {
         let class = self.classify(key);
-        self.append_record(fs, policy, class, key, value, IoKind::VlogAppend)
+        let image = Self::encode_record(key, value);
+        self.append_record(fs, policy, class, key, &image, IoKind::VlogAppend)
     }
 
     /// Rewrites a live record during GC into the current segment of its
-    /// (freshly classified) class.
+    /// (freshly classified) class. The verified image is appended
+    /// verbatim: it already equals `encode_record(key, value)`, so
+    /// neither a re-encode nor a second CRC pass is needed.
     pub fn relocate(
         &mut self,
         fs: &mut FileStore,
         policy: &mut dyn PlacementPolicy,
-        key: &[u8],
-        value: &[u8],
+        record: Record<'_>,
     ) -> Result<VlogPtr> {
         // GC relocation must not inflate the hotness sketch: a key is
         // not "updated" because its segment was collected.
+        let key = record.key();
         let b = self.bucket(key);
         let class = if self.sketch[b] >= self.params.hot_threshold {
             SegClass::Hot
         } else {
             SegClass::Cold
         };
-        let ptr = self.append_record(fs, policy, class, key, value, IoKind::VlogGc)?;
+        let ptr = self.append_record(fs, policy, class, key, record.image(), IoKind::VlogGc)?;
         self.gc_relocated_from_victim += ptr.len;
         Ok(ptr)
     }
@@ -544,7 +655,8 @@ impl ValueLog {
     /// Resolves a pointer, verifying the record checksum and that the
     /// record was written under `expected_key`. A pointer into a freed
     /// or quarantined segment fails (the read surfaces the store's
-    /// degraded path), never returns stale bytes.
+    /// degraded path), never returns stale bytes. The key is compared
+    /// in place and the read buffer is cut down to the value.
     pub fn read(&self, fs: &mut FileStore, ptr: VlogPtr, expected_key: &[u8]) -> Result<Vec<u8>> {
         let seg = self.segments.get(&ptr.segment).ok_or_else(|| {
             Error::Corruption(format!(
@@ -558,15 +670,17 @@ impl ValueLog {
                 ptr.offset, ptr.len, ptr.segment, seg.used
             )));
         }
-        let bytes = fs.read_file(ptr.segment, ptr.offset, ptr.len, IoKind::Get)?;
-        let (key, value) = Self::decode_record(&bytes)?;
-        if key != expected_key {
+        let mut bytes = fs.read_file(ptr.segment, ptr.offset, ptr.len, IoKind::Get)?;
+        let record = Record::verify(&bytes)?;
+        if record.key() != expected_key {
             return Err(Error::Corruption(format!(
                 "value-log record key mismatch at segment {} offset {}",
                 ptr.segment, ptr.offset
             )));
         }
-        Ok(value)
+        let value_at = bytes.len() - record.value().len();
+        bytes.drain(..value_at);
+        Ok(bytes)
     }
 
     // ----- checkpoint + recovery -----
@@ -772,20 +886,14 @@ impl ValueLog {
             let Ok(header) = fs.read_file(id, off, RECORD_HEADER, IoKind::Meta) else {
                 break;
             };
-            let klen = u64::from(u32::from_le_bytes([
-                header[4], header[5], header[6], header[7],
-            ]));
-            let vlen = u64::from(u32::from_le_bytes([
-                header[8], header[9], header[10], header[11],
-            ]));
-            let rec_len = RECORD_HEADER + klen + vlen;
+            let rec_len = record_len(&header);
             if off + rec_len > cap {
                 break;
             }
             let Ok(bytes) = fs.read_file(id, off, rec_len, IoKind::Meta) else {
                 break;
             };
-            if Self::decode_record(&bytes).is_err() {
+            if Record::verify(&bytes).is_err() {
                 break;
             }
             off += rec_len;
@@ -883,88 +991,51 @@ impl ValueLog {
             }
         };
         let used = self.segments[&victim].used;
+        let dead = self.dead.get(&victim);
+        let known_dead = |off: u64| dead.is_some_and(|d| d.offsets.contains(&off));
+        let mut scan = GcScan::new(victim);
         // One sequential read covers the whole step: GC is a streaming
         // scan, and per-record reads would pay a head seek each on the
-        // simulated disk.
+        // simulated disk. Records are verified inside that buffer.
         let chunk_end = used.min(off + budget_bytes);
-        let chunk = if chunk_end > off {
-            fs.read_file(victim, off, chunk_end - off, IoKind::Meta)?
-        } else {
-            Vec::new()
-        };
+        if chunk_end > off {
+            scan.buf = fs.read_file(victim, off, chunk_end - off, IoKind::Meta)?;
+        }
         let chunk_base = off;
-        let mut entries = Vec::new();
         while off < chunk_end {
             let at = (off - chunk_base) as usize;
-            let Some(header) = chunk.get(at..at + RECORD_HEADER as usize) else {
+            let Some(header) = scan.buf.get(at..at + RECORD_HEADER as usize) else {
                 break;
             };
-            let klen = u64::from(u32::from_le_bytes([
-                header[4], header[5], header[6], header[7],
-            ]));
-            let vlen = u64::from(u32::from_le_bytes([
-                header[8], header[9], header[10], header[11],
-            ]));
-            let rec_len = RECORD_HEADER + klen + vlen;
-            let Some(bytes) = chunk.get(at..at + rec_len as usize) else {
+            let rec_len = record_len(header);
+            if scan.buf.len() < at + rec_len as usize {
                 // Record straddles the budget boundary; resume here.
                 break;
-            };
-            let known_dead = self
-                .dead
-                .get(&victim)
-                .is_some_and(|d| d.offsets.contains(&off));
-            if !known_dead {
-                let (key, value) = Self::decode_record(bytes)?;
-                entries.push(GcEntry {
-                    key,
-                    ptr: VlogPtr {
-                        segment: victim,
-                        offset: off,
-                        len: rec_len,
-                    },
-                    value,
-                });
+            }
+            if !known_dead(off) {
+                scan.push_verified(at, off, rec_len)?;
             }
             off += rec_len;
         }
         if off == chunk_base && off < used {
             // The budget is smaller than the next record: read it
-            // whole anyway so the scan always advances.
+            // whole anyway so the scan always advances. Nothing was
+            // listed from the chunk, so the record replaces it.
             let header = fs.read_file(victim, off, RECORD_HEADER, IoKind::Meta)?;
-            let klen = u64::from(u32::from_le_bytes([
-                header[4], header[5], header[6], header[7],
-            ]));
-            let vlen = u64::from(u32::from_le_bytes([
-                header[8], header[9], header[10], header[11],
-            ]));
-            let rec_len = RECORD_HEADER + klen + vlen;
-            let known_dead = self
-                .dead
-                .get(&victim)
-                .is_some_and(|d| d.offsets.contains(&off));
-            if !known_dead {
-                let bytes = fs.read_file(victim, off, rec_len, IoKind::Meta)?;
-                let (key, value) = Self::decode_record(&bytes)?;
-                entries.push(GcEntry {
-                    key,
-                    ptr: VlogPtr {
-                        segment: victim,
-                        offset: off,
-                        len: rec_len,
-                    },
-                    value,
-                });
+            let rec_len = record_len(&header);
+            if !known_dead(off) {
+                scan.buf = fs.read_file(victim, off, rec_len, IoKind::Meta)?;
+                scan.push_verified(0, off, rec_len)?;
             }
             off += rec_len;
         }
-        let finished = off >= used;
-        self.gc_cursor = if finished { None } else { Some((victim, off)) };
-        Ok(Some(GcScan {
-            segment: victim,
-            entries,
-            finished,
-        }))
+        scan.finished = off >= used;
+        self.gc_cursor = if scan.finished {
+            None
+        } else {
+            Some((victim, off))
+        };
+        Ok(Some(scan))
     }
 
     /// Frees a fully drained GC victim. The caller must have committed
@@ -1040,13 +1111,7 @@ impl ValueLog {
                     damaged = true;
                     break;
                 };
-                let klen = u64::from(u32::from_le_bytes([
-                    header[4], header[5], header[6], header[7],
-                ]));
-                let vlen = u64::from(u32::from_le_bytes([
-                    header[8], header[9], header[10], header[11],
-                ]));
-                let rec_len = RECORD_HEADER + klen + vlen;
+                let rec_len = record_len(&header);
                 if off + rec_len > used {
                     damaged = true;
                     break;
@@ -1054,7 +1119,7 @@ impl ValueLog {
                 let ok = fs
                     .read_file(seg_id, off, rec_len, IoKind::Meta)
                     .ok()
-                    .is_some_and(|bytes| Self::decode_record(&bytes).is_ok());
+                    .is_some_and(|bytes| Record::verify(&bytes).is_ok());
                 if !ok {
                     damaged = true;
                     break;
@@ -1093,47 +1158,36 @@ impl ValueLog {
     /// still be salvaged before the band is quarantined. Records past
     /// the first corrupt one are unreachable (framing lost) and their
     /// pointers will serve degraded.
-    pub fn salvage_prefix(&self, fs: &mut FileStore, id: u64) -> Result<Vec<GcEntry>> {
+    pub fn salvage_prefix(&self, fs: &mut FileStore, id: u64) -> Result<GcScan> {
         let Some(seg) = self.segments.get(&id) else {
             return Err(Error::InvalidArgument(format!(
                 "salvage of unknown value-log segment {id}"
             )));
         };
         let used = seg.used;
-        let mut out = Vec::new();
+        let mut scan = GcScan::new(id);
+        scan.finished = true;
         let mut off = 0u64;
         while off < used {
             let Ok(header) = fs.read_file(id, off, RECORD_HEADER, IoKind::Meta) else {
                 break;
             };
-            let klen = u64::from(u32::from_le_bytes([
-                header[4], header[5], header[6], header[7],
-            ]));
-            let vlen = u64::from(u32::from_le_bytes([
-                header[8], header[9], header[10], header[11],
-            ]));
-            let rec_len = RECORD_HEADER + klen + vlen;
+            let rec_len = record_len(&header);
             if off + rec_len > used {
                 break;
             }
             let Ok(bytes) = fs.read_file(id, off, rec_len, IoKind::Meta) else {
                 break;
             };
-            let Ok((key, value)) = Self::decode_record(&bytes) else {
+            let at = scan.buf.len();
+            scan.buf.extend_from_slice(&bytes);
+            if scan.push_verified(at, off, rec_len).is_err() {
+                scan.buf.truncate(at);
                 break;
-            };
-            out.push(GcEntry {
-                key,
-                ptr: VlogPtr {
-                    segment: id,
-                    offset: off,
-                    len: rec_len,
-                },
-                value,
-            });
+            }
             off += rec_len;
         }
-        Ok(out)
+        Ok(scan)
     }
 
     /// Removes a damaged segment from service and fences its band so
@@ -1359,11 +1413,14 @@ mod tests {
         assert_eq!(victim, ptrs[1].segment);
         // Drain with a small budget: multiple steps.
         let mut seen = Vec::new();
+        let mut first = None;
         loop {
             let scan = vl.gc_scan(&mut fs, 1024).unwrap().expect("victim pending");
             assert_eq!(scan.segment, victim);
-            seen.extend(scan.entries.into_iter().map(|e| e.key));
-            if scan.finished {
+            seen.extend(scan.records().map(|(_, rec)| rec.key().to_vec()));
+            let finished = scan.finished;
+            first.get_or_insert(scan);
+            if finished {
                 break;
             }
         }
@@ -1372,14 +1429,52 @@ mod tests {
         assert!(!seen.contains(&b"gc-001".to_vec()));
         // Relocate one record, then retire: bytes land in stats and the
         // segment file is gone.
-        vl.relocate(&mut fs, &mut policy, b"gc-000", &[0u8; 900])
-            .unwrap();
+        let first = first.unwrap();
+        let (_, rec) = first.record(0);
+        assert_eq!((rec.key(), rec.value()), (&b"gc-000"[..], &[0u8; 900][..]));
+        vl.relocate(&mut fs, &mut policy, rec).unwrap();
         let reclaimed = vl.retire_segment(&mut fs, &mut policy, victim).unwrap();
         assert!(reclaimed > 0);
         assert!(!fs.has_file(victim));
         assert!(vl.stats().relocated_bytes > 0);
         assert_eq!(vl.stats().reclaimed_bytes, reclaimed);
         assert!(vl.retire_segment(&mut fs, &mut policy, victim).is_err());
+    }
+
+    #[test]
+    fn relocation_appends_the_verified_image_verbatim() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        let mut ptrs = Vec::new();
+        for i in 0..10u8 {
+            let key = format!("mv-{i:03}");
+            ptrs.push(
+                vl.append(&mut fs, &mut policy, key.as_bytes(), &[i; 900])
+                    .unwrap(),
+            );
+        }
+        vl.note_dead(ptrs[0]);
+        let victim = vl.gc_candidate().expect("a sealed segment with garbage");
+        let scan = vl.gc_scan(&mut fs, 1 << 20).unwrap().expect("victim");
+        assert!(scan.finished && !scan.is_empty());
+        for (_, rec) in scan.records() {
+            let (key, value) = (rec.key().to_vec(), rec.value().to_vec());
+            let moved = vl.relocate(&mut fs, &mut policy, rec).unwrap();
+            assert_ne!(moved.segment, victim);
+            let on_disk = fs
+                .read_file(moved.segment, moved.offset, moved.len, IoKind::Meta)
+                .unwrap();
+            assert_eq!(on_disk, ValueLog::encode_record(&key, &value));
+            assert_eq!(vl.read(&mut fs, moved, &key).unwrap(), value);
+        }
+        // Every relocation superseded its old address in the pointer
+        // index, so the whole victim is now accounted garbage.
+        let used: u64 = ptrs
+            .iter()
+            .filter(|p| p.segment == victim)
+            .map(|p| p.len)
+            .sum();
+        assert_eq!(vl.dead_bytes(victim), used);
     }
 
     #[test]
@@ -1412,7 +1507,7 @@ mod tests {
         // Salvage recovers only the first record.
         let salvage = vl.salvage_prefix(&mut fs, seg).unwrap();
         assert_eq!(salvage.len(), 1);
-        assert_eq!(salvage[0].key, b"s0");
+        assert_eq!(salvage.record(0).1.key(), b"s0");
         // Quarantine fences the band and fails later reads closed.
         vl.quarantine_segment(&mut fs, &mut policy, seg).unwrap();
         assert!(vl.read(&mut fs, ptrs[1], b"s1").is_err());

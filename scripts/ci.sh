@@ -83,26 +83,12 @@ cargo run -q --release -p bench -- --shard-out BENCH_pr7.json --serving
 cargo run -q --release -p bench -- --shard-check BENCH_pr7.json
 
 # Key-value-separation artifact: update-heavy YCSB A/F against inline vs
-# value-log SEALDB builds in the large-value regime, then the schema
-# check and the headline gates — separation cuts update-WA strictly at
-# every cell (>=2x on workload A), sustains a higher saturation knee,
-# and no cell loses a single key.
+# value-log SEALDB builds in the large-value regime, then the checker —
+# schema plus the headline gates: separation cuts update-WA strictly at
+# every cell (>=2x on workload A), sustains a strictly higher saturation
+# knee on each workload, and no cell loses a single key.
 cargo run -q --release -p bench -- --vlog-out BENCH_pr8.json --tiny --value 4096 --load-mb 4 --ycsb-ops 4000
 cargo run -q --release -p bench -- --vlog-check BENCH_pr8.json
-grep -o '"workload":"[AF]","vlog":[a-z]*,"update_wa":[0-9.]*,[^}]*"saturation_ops_per_sec":[0-9.]*,[^}]*"lost_keys":[0-9]*' BENCH_pr8.json |
-awk -F'[:,]' '{ gsub(/"/, "") }
-    { w=$2; v=$4; wa=$6; lost=$NF
-      for (i = 1; i <= NF; i++) if ($i == "saturation_ops_per_sec") sat=$(i+1)
-      if (v == "true") { vwa[w]=wa; vsat[w]=sat } else { iwa[w]=wa; isat[w]=sat }
-      if (lost != 0) { printf "vlog cell %s/%s lost %s keys\n", w, v, lost; bad=1 } }
-    END { if (bad) exit 1
-          if (!("A" in vwa) || !("F" in vwa)) { print "vlog sweep missing cells"; exit 1 }
-          for (w in vwa) {
-              if (vwa[w] >= iwa[w]) { printf "workload %s: vlog WA %s not below inline %s\n", w, vwa[w], iwa[w]; exit 1 }
-              if (vsat[w] <= isat[w]) { printf "workload %s: vlog knee %s not above inline %s\n", w, vsat[w], isat[w]; exit 1 }
-          }
-          if (vwa["A"] * 2 > iwa["A"]) { printf "workload A: vlog WA %s not 2x below inline %s\n", vwa["A"], iwa["A"]; exit 1 }
-          printf "vlog separation ok: A WA %s vs %s, F WA %s vs %s, knees higher\n", vwa["A"], iwa["A"], vwa["F"], iwa["F"] }'
 
 # Chaos artifact: CHAOS_SCHEDULES (default 25) seeded random fault
 # schedules over the composed stack — shard routing x replication x
