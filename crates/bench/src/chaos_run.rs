@@ -26,10 +26,9 @@
 //! `debug_assert!`s are live, so a violated ack/durability/recycle
 //! edge fails the run even if every value still reads back.
 
-use crate::BenchScale;
+use crate::{u64_after, BenchScale};
 use lsm_core::Result;
 use seal_chaos::{generate, ChaosConfig, ChaosHarness, Coverage, SplitMix};
-use std::fmt::Write as _;
 
 /// Schema marker the checker requires at the top of the artifact.
 pub const CHAOS_SCHEMA: &str = "sealdb-chaos-v1";
@@ -110,14 +109,14 @@ fn chaos_config(scale: &BenchScale) -> ChaosConfig {
     }
 }
 
-/// Runs `schedules` seeded chaos schedules and returns the cells plus
-/// the merged fault-class coverage tally.
-pub fn run_chaos_sweep(scale: &BenchScale, schedules: usize) -> Result<(Vec<ChaosCell>, Coverage)> {
+/// Runs `scale.chaos_schedules` seeded chaos schedules and returns the
+/// cells plus the merged fault-class coverage tally.
+pub fn run_chaos_sweep(scale: &BenchScale) -> Result<(Vec<ChaosCell>, Coverage)> {
     let cfg = chaos_config(scale);
     let mut seeds = SplitMix::new(scale.seed ^ 0xC4A0_5EED_0BEA_7E11);
-    let mut cells = Vec::with_capacity(schedules);
+    let mut cells = Vec::with_capacity(scale.chaos_schedules);
     let mut coverage = Coverage::default();
-    for _ in 0..schedules {
+    for _ in 0..scale.chaos_schedules {
         let seed = seeds.next_u64();
         let events = generate(seed, &cfg);
         let mut harness = ChaosHarness::new(cfg.clone(), seed)?;
@@ -174,67 +173,35 @@ fn cell_json(c: &ChaosCell) -> String {
 }
 
 fn coverage_json(tag: &str, map: &std::collections::BTreeMap<&'static str, u64>) -> String {
-    let mut s = format!("\"{tag}\":{{");
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{k}\":{v}");
-    }
-    s.push('}');
-    s
+    let body = crate::join(map, |(k, v)| format!("\"{k}\":{v}"));
+    format!("\"{tag}\":{{{body}}}")
 }
 
 /// Serialises the sweep as the `BENCH_pr10.json` artifact.
-pub fn sweep_to_json(
-    scale: &BenchScale,
-    schedules: usize,
-    cells: &[ChaosCell],
-    coverage: &Coverage,
-) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
+pub fn sweep_to_json(scale: &BenchScale, cells: &[ChaosCell], coverage: &Coverage) -> String {
+    format!(
         concat!(
             "{{\"schema\":\"{}\",\"base_seed\":{},\"schedules\":{},",
             "\"groups\":{},\"replicas\":{},\"events_per_schedule\":{},",
-            "\"coverage\":{{{},{}}},\"violations_total\":{},\"cells\":["
+            "\"coverage\":{{{},{}}},\"violations_total\":{},\"cells\":[{}]}}\n"
         ),
         CHAOS_SCHEMA,
         scale.seed,
-        schedules,
+        scale.chaos_schedules,
         GROUPS,
         REPLICAS,
         events_per_schedule(scale),
         coverage_json("device", &coverage.device),
         coverage_json("cluster", &coverage.cluster),
         cells.iter().map(|c| c.violations).sum::<u64>(),
-    );
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&cell_json(c));
-    }
-    s.push_str("]}\n");
-    s
+        crate::join(cells, cell_json),
+    )
 }
 
 /// Runs the chaos sweep and returns the artifact as JSON.
-pub fn chaos_sweep(scale: &BenchScale, schedules: usize) -> Result<String> {
-    let (cells, coverage) = run_chaos_sweep(scale, schedules)?;
-    Ok(sweep_to_json(scale, schedules, &cells, &coverage))
-}
-
-/// Pulls the `u64` following `"key":` out of one fragment.
-fn frag_value(frag: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let i = frag.find(&pat)? + pat.len();
-    let rest = &frag[i..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+pub fn chaos_sweep(scale: &BenchScale) -> Result<String> {
+    let (cells, coverage) = run_chaos_sweep(scale)?;
+    Ok(sweep_to_json(scale, &cells, &coverage))
 }
 
 /// Counts the entries of the `"tag":{..}` coverage object.
@@ -261,28 +228,18 @@ fn coverage_entries(content: &str, tag: &str) -> usize {
 /// cluster fault classes. Returns the list of problems; empty means
 /// valid.
 pub fn check_chaos_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{CHAOS_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in ["\"base_seed\":", "\"schedules\":", "\"coverage\":"] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
-        }
-    }
-    crate::push_non_finite(content, &mut problems);
-    let declared = frag_value(content, "schedules").unwrap_or(0) as usize;
+    let declared = u64_after(content, "schedules").unwrap_or(0) as usize;
+    let mut problems = crate::check_shape(
+        content,
+        CHAOS_SCHEMA,
+        &["\"base_seed\":", "\"schedules\":", "\"coverage\":"],
+        &CELL_KEYS,
+        declared,
+    );
     if declared == 0 {
         problems.push("artifact declares zero schedules".to_string());
     }
-    for key in CELL_KEYS {
-        let n = content.matches(key).count();
-        if n != declared {
-            problems.push(format!("key {key} appears {n} times, expected {declared}"));
-        }
-    }
-    if frag_value(content, "violations_total") != Some(0) {
+    if u64_after(content, "violations_total") != Some(0) {
         problems.push("oracle violations recorded: violations_total != 0".to_string());
     }
     let mut acked_total = 0u64;
@@ -292,22 +249,22 @@ pub fn check_chaos_json(content: &str) -> Vec<String> {
             cell[..end].to_string()
         };
         for must_be_zero in ["acked_lost", "promised_lost", "violations"] {
-            if frag_value(cell, must_be_zero) != Some(0) {
+            if u64_after(cell, must_be_zero) != Some(0) {
                 problems.push(format!("cell seed {seed}: {must_be_zero} != 0"));
             }
         }
-        let acked = frag_value(cell, "acked_writes").unwrap_or(0);
+        let acked = u64_after(cell, "acked_writes").unwrap_or(0);
         if acked == 0 {
             problems.push(format!("cell seed {seed}: served no traffic"));
         }
         acked_total += acked;
-        if frag_value(cell, "hash_groups_checked") == Some(0) {
+        if u64_after(cell, "hash_groups_checked") == Some(0) {
             problems.push(format!(
                 "cell seed {seed}: no group had two survivors to compare"
             ));
         }
-        if frag_value(cell, "scrub_remediated").unwrap_or(0)
-            < frag_value(cell, "scrub_blocks_corrupt").unwrap_or(u64::MAX)
+        if u64_after(cell, "scrub_remediated").unwrap_or(0)
+            < u64_after(cell, "scrub_blocks_corrupt").unwrap_or(u64::MAX)
         {
             problems.push(format!("cell seed {seed}: scrub accounting leaks"));
         }
@@ -335,11 +292,10 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    const TEST_SCHEDULES: usize = 8;
-
     fn test_scale() -> BenchScale {
         let mut s = BenchScale::tiny();
         s.load_bytes = 4 << 20;
+        s.chaos_schedules = 8;
         s
     }
 
@@ -348,13 +304,13 @@ mod tests {
     /// running it once keeps the suite fast).
     fn artifact() -> &'static str {
         static ARTIFACT: OnceLock<String> = OnceLock::new();
-        ARTIFACT.get_or_init(|| chaos_sweep(&test_scale(), TEST_SCHEDULES).unwrap())
+        ARTIFACT.get_or_init(|| chaos_sweep(&test_scale()).unwrap())
     }
 
     #[test]
     fn sweep_is_valid_and_deterministic() {
         let a = artifact();
-        let b = chaos_sweep(&test_scale(), TEST_SCHEDULES).unwrap();
+        let b = chaos_sweep(&test_scale()).unwrap();
         assert_eq!(a, &b, "same-seed artifacts must be byte-identical");
         let problems = check_chaos_json(a);
         assert!(problems.is_empty(), "artifact invalid: {problems:?}");
@@ -365,7 +321,7 @@ mod tests {
         let a = artifact();
         let mut other = test_scale();
         other.seed ^= 0xBAD5EED;
-        let b = chaos_sweep(&other, TEST_SCHEDULES).unwrap();
+        let b = chaos_sweep(&other).unwrap();
         let tail = |s: &str| s[s.find("\"cells\"").unwrap()..].to_string();
         assert_ne!(tail(a), tail(&b), "schedules must follow the seed");
     }
@@ -384,12 +340,23 @@ mod tests {
         assert!(check_chaos_json(&forged)
             .iter()
             .any(|p| p.contains("acked_lost")));
-        // Strip the device coverage: the coverage gate must trip.
-        let i = a.find("\"device\":{").unwrap();
-        let j = i + a[i..].find('}').unwrap() + 1;
-        let gutted = format!("{}\"device\":{{}}{}", &a[..i], &a[j..]);
-        assert!(check_chaos_json(&gutted)
-            .iter()
-            .any(|p| p.contains("device fault classes")));
+        // Keep one class too few of each coverage tally: the coverage
+        // gates must trip.
+        for (tag, min) in [
+            ("device", MIN_DEVICE_CLASSES),
+            ("cluster", MIN_CLUSTER_CLASSES),
+        ] {
+            let open = format!("\"{tag}\":{{");
+            let i = a.find(&open).unwrap() + open.len();
+            let j = i + a[i..].find('}').unwrap();
+            let kept: Vec<&str> = a[i..j].split(',').take(min - 1).collect();
+            let gutted = format!("{}{}{}", &a[..i], kept.join(","), &a[j..]);
+            assert!(
+                check_chaos_json(&gutted)
+                    .iter()
+                    .any(|p| p.contains(&format!("only {} {tag} fault classes", min - 1))),
+                "{tag}"
+            );
+        }
     }
 }

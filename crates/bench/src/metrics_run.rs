@@ -11,7 +11,6 @@
 use crate::BenchScale;
 use lsm_core::Result;
 use sealdb::StoreKind;
-use std::fmt::Write as _;
 
 /// Schema marker the checker requires at the top of the artifact.
 pub const METRICS_SCHEMA: &str = "sealdb-metrics-v1";
@@ -50,49 +49,34 @@ pub fn metrics_trajectory(scale: &BenchScale) -> Result<String> {
         store.scan(&gen.key(0), 64)?;
         Ok(store.metrics_snapshot())
     });
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{METRICS_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"stores\":[",
-        scale.seed, scale.sstable, records
-    );
-    for (i, r) in results.into_iter().enumerate() {
-        let snap = r?;
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&snap.to_json(TRACE_TAIL));
-    }
-    s.push_str("]}\n");
-    Ok(s)
+    let snaps = results.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok(format!(
+        "{{\"schema\":\"{METRICS_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"stores\":[{}]}}\n",
+        scale.seed,
+        scale.sstable,
+        records,
+        crate::join(&snaps, |snap| snap.to_json(TRACE_TAIL)),
+    ))
 }
 
 /// Validates a metrics artifact: schema marker, one snapshot per main
 /// store, every required metric key present per store, and no NaN/Inf
 /// anywhere. Returns the list of problems; empty means valid.
 pub fn check_metrics_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{METRICS_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    if !content.contains("\"seed\":") {
-        problems.push("missing key \"seed\"".to_string());
-    }
-    let stores = content.matches("\"store\":").count();
     let expected = StoreKind::MAIN.len();
+    let mut problems = crate::check_shape(
+        content,
+        METRICS_SCHEMA,
+        &["\"seed\":"],
+        &REQUIRED_KEYS,
+        expected,
+    );
+    let stores = content.matches("\"store\":").count();
     if stores != expected {
         problems.push(format!(
             "expected {expected} store snapshots, found {stores}"
         ));
     }
-    for key in REQUIRED_KEYS {
-        let n = content.matches(key).count();
-        if n != expected {
-            problems.push(format!("key {key} appears {n} times, expected {expected}"));
-        }
-    }
-    crate::push_non_finite(content, &mut problems);
     problems
 }
 

@@ -2,9 +2,10 @@
 //! experiments onto tractable simulated runs with every ratio intact.
 //!
 //! Paper configuration: 16 B keys, 4 KB values, 4 MB SSTables, 40 MB
-//! bands, 100 GB loads on a 1 TB drive. Default bench scale: 1/16 linear
-//! (256 KiB SSTables, 2.5 MiB bands) with 256 MiB loads — large enough
-//! to populate four levels and drive hundreds of compactions.
+//! bands, 100 GB loads on a 1 TB drive. Default bench scale: 1/4 linear
+//! (1 MiB SSTables, 10 MiB bands) with 512 MiB loads of 4 KiB values —
+//! large enough to populate four levels and drive hundreds of
+//! compactions.
 
 use workloads::RecordGenerator;
 
@@ -27,6 +28,8 @@ pub struct BenchScale {
     pub capacity_ratio: u64,
     /// Determinism seed.
     pub seed: u64,
+    /// Seeded fault schedules in the chaos sweep (`BENCH_pr10.json`).
+    pub chaos_schedules: usize,
 }
 
 impl Default for BenchScale {
@@ -40,6 +43,7 @@ impl Default for BenchScale {
             ycsb_ops: 10_000,
             capacity_ratio: 10,
             seed: 0x5EA1DB,
+            chaos_schedules: 25,
         }
     }
 }
@@ -88,6 +92,7 @@ impl BenchScale {
             ycsb_ops: 100_000,
             capacity_ratio: 10,
             seed: 0x5EA1DB,
+            chaos_schedules: 25,
         }
     }
 

@@ -14,7 +14,6 @@ use crate::BenchScale;
 use lsm_core::Result;
 use seal_front::{run_serve, ServeConfig, ServeResult};
 use sealdb::{Store, StoreKind};
-use std::fmt::Write as _;
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
@@ -155,38 +154,23 @@ pub fn run_sweep(scale: &BenchScale) -> Result<Vec<StoreSweep>> {
 
 /// Serialises a sweep as the `BENCH_pr3.json` artifact.
 pub fn sweep_to_json(scale: &BenchScale, sweeps: &[StoreSweep]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"ops\":{},\"clients\":{},\"workload\":\"S\",\"stores\":[",
+    let stores = crate::join(sweeps, |sweep| {
+        let points = crate::join(&sweep.points, |p| {
+            point_json(p.offered_ops_per_sec / CLIENTS as f64, &p.result)
+        });
+        format!(
+            "{{\"store\":\"{}\",\"saturation_ops_per_sec\":{:.3},\"points\":[{points}]}}",
+            sweep.store, sweep.saturation_ops_per_sec,
+        )
+    });
+    format!(
+        "{{\"schema\":\"{SERVE_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"ops\":{},\"clients\":{},\"workload\":\"S\",\"stores\":[{stores}]}}\n",
         scale.seed,
         scale.sstable,
         scale.load_records().max(1),
         scale.ycsb_ops.max(CLIENTS as u64),
         CLIENTS,
-    );
-    for (i, sweep) in sweeps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"store\":\"{}\",\"saturation_ops_per_sec\":{:.3},\"points\":[",
-            sweep.store, sweep.saturation_ops_per_sec
-        );
-        for (j, p) in sweep.points.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&point_json(
-                p.offered_ops_per_sec / CLIENTS as f64,
-                &p.result,
-            ));
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}\n");
-    s
+    )
 }
 
 /// Runs the serving sweep over [`StoreKind::MAIN`] and returns the
@@ -199,39 +183,26 @@ pub fn serve_sweep(scale: &BenchScale) -> Result<String> {
 /// store, every point key present the right number of times, and no
 /// NaN/Inf anywhere. Returns the list of problems; empty means valid.
 pub fn check_serve_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{SERVE_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in ["\"seed\":", "\"clients\":", "\"ops\":"] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
-        }
-    }
     let expected_stores = StoreKind::MAIN.len();
+    let mut problems = crate::check_shape(
+        content,
+        SERVE_SCHEMA,
+        &["\"seed\":", "\"clients\":", "\"ops\":"],
+        &POINT_KEYS,
+        expected_stores * LOAD_MULTIPLIERS.len(),
+    );
     let stores = content.matches("\"store\":").count();
     if stores != expected_stores {
         problems.push(format!(
             "expected {expected_stores} store sweeps, found {stores}"
         ));
     }
-    let sat = content.matches("\"saturation_ops_per_sec\":").count();
-    if sat != expected_stores {
-        problems.push(format!(
-            "key \"saturation_ops_per_sec\" appears {sat} times, expected {expected_stores}"
-        ));
-    }
-    let expected_points = expected_stores * LOAD_MULTIPLIERS.len();
-    for key in POINT_KEYS {
-        let n = content.matches(key).count();
-        if n != expected_points {
-            problems.push(format!(
-                "key {key} appears {n} times, expected {expected_points}"
-            ));
-        }
-    }
-    crate::push_non_finite(content, &mut problems);
+    crate::push_key_counts(
+        content,
+        &["\"saturation_ops_per_sec\":"],
+        expected_stores,
+        &mut problems,
+    );
     problems
 }
 
@@ -248,11 +219,10 @@ pub fn gate_serve_json(content: &str) -> Vec<String> {
         .skip(1)
         .filter_map(|cell| {
             let (name, rest) = cell.split_once('"')?;
-            let sat = rest.strip_prefix(",\"saturation_ops_per_sec\":")?;
-            let end = sat
-                .find(|c: char| c != '.' && !c.is_ascii_digit())
-                .unwrap_or(sat.len());
-            Some((name, sat[..end].parse().ok()?))
+            Some((
+                name,
+                *crate::f64s_after(rest, "saturation_ops_per_sec").first()?,
+            ))
         })
         .collect();
     match named.iter().find(|(name, _)| *name == "SEALDB") {
@@ -292,21 +262,6 @@ mod tests {
         s
     }
 
-    /// Pulls `"key":value` numbers out of the artifact in order.
-    fn values(content: &str, key: &str) -> Vec<f64> {
-        let pat = format!("\"{key}\":");
-        content
-            .match_indices(&pat)
-            .map(|(i, _)| {
-                let rest = &content[i + pat.len()..];
-                let end = rest
-                    .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-                    .unwrap_or(rest.len());
-                rest[..end].parse::<f64>().unwrap()
-            })
-            .collect()
-    }
-
     #[test]
     fn sweep_is_valid_and_deterministic() {
         let a = artifact();
@@ -322,7 +277,7 @@ mod tests {
     #[test]
     fn latency_rises_with_offered_load() {
         let artifact = artifact();
-        let p99 = values(artifact, "p99_ns");
+        let p99 = crate::f64s_after(artifact, "p99_ns");
         let n = LOAD_MULTIPLIERS.len();
         assert_eq!(p99.len(), 3 * n);
         for (s, chunk) in p99.chunks(n).enumerate() {
@@ -335,8 +290,8 @@ mod tests {
         }
         // Throughput cannot exceed what was offered (open loop serves
         // only what arrived).
-        let offered = values(artifact, "offered_ops_per_sec");
-        let got = values(artifact, "throughput_ops_per_sec");
+        let offered = crate::f64s_after(artifact, "offered_ops_per_sec");
+        let got = crate::f64s_after(artifact, "throughput_ops_per_sec");
         for (o, g) in offered.iter().zip(&got) {
             assert!(g <= &(o * 1.05), "throughput {g} exceeds offered {o}");
         }
@@ -360,7 +315,7 @@ mod tests {
     #[test]
     fn gate_rejects_sealdb_not_highest() {
         let a = artifact();
-        let sat = values(a, "saturation_ops_per_sec");
+        let sat = crate::f64s_after(a, "saturation_ops_per_sec");
         let seal = format!("\"SEALDB\",\"saturation_ops_per_sec\":{:.3}", sat[2]);
         assert!(a.contains(&seal));
         let with_seal = |v: f64| {

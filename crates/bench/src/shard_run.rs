@@ -8,14 +8,13 @@
 //! strictly with the shard count — that monotonicity, the bounded key
 //! placement imbalance of the router, and the zero-acked-key-loss audit
 //! of a mid-run split migration are the gates [`check_shard_json`]
-//! (and `scripts/ci.sh`) enforce. Cells run one per OS thread (each
+//! enforces (CI runs it on `BENCH_pr7.json`). Cells run one per OS thread (each
 //! cluster owns its own simulated disks) and everything rides the
 //! simulated clock: two same-seed sweeps serialize byte-identically.
 
-use crate::BenchScale;
+use crate::{f64s_after, BenchScale};
 use lsm_core::Result;
 use seal_shard::{imbalance, serve, ClusterServeConfig, ShardCluster, ShardConfig};
-use std::fmt::Write as _;
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
@@ -197,47 +196,17 @@ pub fn run_sweep(scale: &BenchScale) -> Result<ShardSweep> {
 }
 
 fn hashes_json(hashes: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, h) in hashes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{h:016x}\"");
-    }
-    s.push(']');
-    s
+    format!("[{}]", crate::join(hashes, |h| format!("\"{h:016x}\"")))
 }
 
 fn counts_json(counts: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, c) in counts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{c}");
-    }
-    s.push(']');
-    s
+    format!("[{}]", crate::join(counts, u64::to_string))
 }
 
 /// Serialises a sweep as the `BENCH_pr7.json` artifact.
 pub fn sweep_to_json(scale: &BenchScale, sweep: &ShardSweep) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{SHARD_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"ops\":{},\"clients\":{},\"workload\":\"S\",\"cells\":[",
-        scale.seed,
-        scale.sstable,
-        scale.load_records().max(1),
-        cell_ops(scale),
-        CLIENTS,
-    );
-    for (i, c) in sweep.cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
+    let cells = crate::join(&sweep.cells, |c| {
+        format!(
             concat!(
                 "{{\"shards\":{},\"saturation_ops_per_sec\":{:.3},",
                 "\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{},",
@@ -259,16 +228,24 @@ pub fn sweep_to_json(scale: &BenchScale, sweep: &ShardSweep) -> String {
             c.key_imbalance,
             c.ops_imbalance,
             hashes_json(&c.state_hashes),
-        );
-    }
+        )
+    });
     let m = &sweep.migration;
-    let _ = write!(
-        s,
+    format!(
         concat!(
-            "],\"migration\":{{\"shards_before\":{},\"shards_after\":{},",
+            "{{\"schema\":\"{}\",\"seed\":{},\"sstable\":{},\"records\":{},\"ops\":{},",
+            "\"clients\":{},\"workload\":\"S\",\"cells\":[{}],",
+            "\"migration\":{{\"shards_before\":{},\"shards_after\":{},",
             "\"moved_keys\":{},\"moved_bytes\":{},\"batches\":{},\"duration_ns\":{},",
             "\"checked_keys\":{},\"lost_keys\":{},\"state_hashes\":{}}}}}\n"
         ),
+        SHARD_SCHEMA,
+        scale.seed,
+        scale.sstable,
+        scale.load_records().max(1),
+        cell_ops(scale),
+        CLIENTS,
+        cells,
         m.shards_before,
         m.shards_after,
         m.moved_keys,
@@ -278,28 +255,12 @@ pub fn sweep_to_json(scale: &BenchScale, sweep: &ShardSweep) -> String {
         m.checked_keys,
         m.lost_keys,
         hashes_json(&m.state_hashes),
-    );
-    s
+    )
 }
 
 /// Runs the shard sweep and returns the artifact as a JSON string.
 pub fn shard_sweep(scale: &BenchScale) -> Result<String> {
     Ok(sweep_to_json(scale, &run_sweep(scale)?))
-}
-
-/// Pulls `"key":value` numbers out of flat JSON in order of appearance.
-fn num_values(content: &str, key: &str) -> Vec<f64> {
-    let pat = format!("\"{key}\":");
-    content
-        .match_indices(&pat)
-        .filter_map(|(i, _)| {
-            let rest = &content[i + pat.len()..];
-            let end = rest
-                .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse::<f64>().ok()
-        })
-        .collect()
 }
 
 /// Validates a shard artifact: schema marker, one cell per
@@ -309,19 +270,15 @@ fn num_values(content: &str, key: &str) -> Vec<f64> {
 /// and no NaN/Inf anywhere.
 /// Returns the list of problems; empty means valid.
 pub fn check_shard_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{SHARD_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    let shards = num_values(content, "shards");
+    let mut problems = crate::check_shape(content, SHARD_SCHEMA, &[], &[], 0);
+    let shards = f64s_after(content, "shards");
     let expected: Vec<f64> = SHARD_COUNTS.iter().map(|&n| n as f64).collect();
     if shards != expected {
         problems.push(format!(
             "expected cells for shard counts {expected:?}, found {shards:?}"
         ));
     }
-    let sat = num_values(content, "saturation_ops_per_sec");
+    let sat = f64s_after(content, "saturation_ops_per_sec");
     if sat.len() != SHARD_COUNTS.len() {
         problems.push(format!(
             "expected {} saturation values, found {}",
@@ -337,29 +294,28 @@ pub fn check_shard_json(content: &str) -> Vec<String> {
             ));
         }
     }
-    for (i, ki) in num_values(content, "key_imbalance").iter().enumerate() {
+    for (i, ki) in f64s_after(content, "key_imbalance").iter().enumerate() {
         if *ki > 1.25 {
             problems.push(format!(
                 "cell {i}: key placement imbalance {ki:.4} exceeds the 1.25 routing bound"
             ));
         }
     }
-    let migrations = num_values(content, "moved_keys").len();
+    let migrations = f64s_after(content, "moved_keys").len();
     if migrations != 1 {
         problems.push(format!(
             "expected exactly one migration cell, found {migrations}"
         ));
     }
-    match num_values(content, "lost_keys").first() {
+    match f64s_after(content, "lost_keys").first() {
         Some(&0.0) => {}
         Some(&lost) => problems.push(format!("migration lost {lost} acked keys")),
         None => problems.push("missing migration \"lost_keys\"".to_string()),
     }
-    match num_values(content, "moved_keys").first() {
+    match f64s_after(content, "moved_keys").first() {
         Some(&moved) if moved > 0.0 => {}
         _ => problems.push("migration moved no keys".to_string()),
     }
-    crate::push_non_finite(content, &mut problems);
     problems
 }
 
@@ -393,7 +349,7 @@ mod tests {
 
     #[test]
     fn saturation_scales_out_with_shards() {
-        let sat = num_values(artifact(), "saturation_ops_per_sec");
+        let sat = f64s_after(artifact(), "saturation_ops_per_sec");
         assert_eq!(sat.len(), SHARD_COUNTS.len());
         for w in sat.windows(2) {
             assert!(w[1] > w[0], "saturation not monotone: {sat:?}");
@@ -403,10 +359,10 @@ mod tests {
     #[test]
     fn migration_cell_loses_nothing_and_moves_bands() {
         let a = artifact();
-        assert_eq!(num_values(a, "lost_keys"), vec![0.0]);
-        assert!(num_values(a, "moved_keys")[0] > 0.0);
-        assert!(num_values(a, "shards_after")[0] == 5.0);
-        assert!(num_values(a, "batches")[0] >= 1.0);
+        assert_eq!(f64s_after(a, "lost_keys"), vec![0.0]);
+        assert!(f64s_after(a, "moved_keys")[0] > 0.0);
+        assert!(f64s_after(a, "shards_after")[0] == 5.0);
+        assert!(f64s_after(a, "batches")[0] >= 1.0);
     }
 
     #[test]
@@ -414,7 +370,7 @@ mod tests {
         assert!(!check_shard_json("{}").is_empty());
         let a = artifact();
         // Break monotonicity: swap the first saturation value to huge.
-        let sat = num_values(a, "saturation_ops_per_sec");
+        let sat = f64s_after(a, "saturation_ops_per_sec");
         let broken = a.replacen(
             &format!("\"saturation_ops_per_sec\":{:.3}", sat[0]),
             "\"saturation_ops_per_sec\":999999999.000",
@@ -430,7 +386,7 @@ mod tests {
     #[test]
     fn checker_rejects_a_migration_that_moved_nothing() {
         let a = artifact();
-        let moved = num_values(a, "moved_keys")[0];
+        let moved = f64s_after(a, "moved_keys")[0];
         let idle = a.replace(&format!("\"moved_keys\":{moved}"), "\"moved_keys\":0");
         assert!(check_shard_json(&idle)
             .iter()
@@ -455,7 +411,7 @@ mod tests {
         let last = a.find("{\"shards\":8,").unwrap();
         let end = a.find("],\"migration\"").unwrap();
         let three = format!("{}{}", &a[..last - 1], &a[end..]);
-        assert_eq!(num_values(&three, "shards").len(), 3);
+        assert_eq!(f64s_after(&three, "shards").len(), 3);
         let problems = check_shard_json(&three);
         assert!(problems.iter().any(|p| p.contains("shard counts")));
         assert!(problems.iter().any(|p| p.contains("saturation values")));

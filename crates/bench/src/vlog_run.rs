@@ -19,7 +19,6 @@ use lsm_core::Result;
 use seal_front::{run_serve, ServeConfig};
 use sealdb::{Store, StoreConfig, StoreKind, VlogParams};
 use smr_sim::IoStats;
-use std::fmt::Write as _;
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
@@ -33,16 +32,16 @@ pub const WORKLOADS: [&str; 2] = ["A", "F"];
 
 /// Keys that must appear once per sweep cell in a valid artifact.
 const CELL_KEYS: [&str; 10] = [
-    "\"workload\"",
-    "\"vlog\"",
-    "\"update_wa\"",
-    "\"wa_compaction\"",
-    "\"wa_vlog_gc\"",
-    "\"saturation_ops_per_sec\"",
-    "\"serve_ops_per_sec\"",
-    "\"p99_ns\"",
-    "\"drain_ns\"",
-    "\"lost_keys\"",
+    "\"workload\":",
+    "\"vlog\":",
+    "\"update_wa\":",
+    "\"wa_compaction\":",
+    "\"wa_vlog_gc\":",
+    "\"saturation_ops_per_sec\":",
+    "\"serve_ops_per_sec\":",
+    "\"p99_ns\":",
+    "\"drain_ns\":",
+    "\"lost_keys\":",
 ];
 
 /// One (workload × store build) cell of the sweep.
@@ -222,10 +221,37 @@ pub fn run_sweep(scale: &BenchScale) -> Result<Vec<VlogCell>> {
 /// Serialises the sweep as the `BENCH_pr8.json` artifact — one cell per
 /// line so the checker can scan it without a JSON parser.
 pub fn sweep_to_json(scale: &BenchScale, cells: &[VlogCell]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{VLOG_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"ops\":{},\"clients\":{},\"value_bytes\":{},\"segment_bytes\":{},\"cells\":[",
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                concat!(
+                    "{{\"workload\":\"{}\",\"vlog\":{},\"update_wa\":{:.4},",
+                    "\"wa_compaction\":{:.4},\"wa_vlog_gc\":{:.4},",
+                    "\"saturation_ops_per_sec\":{:.3},\"serve_ops_per_sec\":{:.3},",
+                    "\"p99_ns\":{},\"drain_ns\":{},\"lost_keys\":{},",
+                    "\"vlog_appended_bytes\":{},\"vlog_relocated_bytes\":{},",
+                    "\"vlog_reclaimed_bytes\":{},\"vlog_segments_retired\":{}}}"
+                ),
+                c.workload,
+                c.vlog,
+                c.update_wa,
+                c.wa_compaction,
+                c.wa_vlog_gc,
+                c.saturation_ops_per_sec,
+                c.serve_ops_per_sec,
+                c.p99_ns,
+                c.drain_ns,
+                c.lost_keys,
+                c.vlog_appended_bytes,
+                c.vlog_relocated_bytes,
+                c.vlog_reclaimed_bytes,
+                c.vlog_segments_retired,
+            )
+        })
+        .collect();
+    format!(
+        "{{\"schema\":\"{VLOG_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"ops\":{},\"clients\":{},\"value_bytes\":{},\"segment_bytes\":{},\"cells\":[\n{}\n]}}\n",
         scale.seed,
         scale.sstable,
         scale.load_records().max(1),
@@ -233,37 +259,8 @@ pub fn sweep_to_json(scale: &BenchScale, cells: &[VlogCell]) -> String {
         CLIENTS,
         scale.value_size,
         scale.band_size(),
-    );
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n" } else { "\n" });
-        let _ = write!(
-            s,
-            concat!(
-                "{{\"workload\":\"{}\",\"vlog\":{},\"update_wa\":{:.4},",
-                "\"wa_compaction\":{:.4},\"wa_vlog_gc\":{:.4},",
-                "\"saturation_ops_per_sec\":{:.3},\"serve_ops_per_sec\":{:.3},",
-                "\"p99_ns\":{},\"drain_ns\":{},\"lost_keys\":{},",
-                "\"vlog_appended_bytes\":{},\"vlog_relocated_bytes\":{},",
-                "\"vlog_reclaimed_bytes\":{},\"vlog_segments_retired\":{}}}"
-            ),
-            c.workload,
-            c.vlog,
-            c.update_wa,
-            c.wa_compaction,
-            c.wa_vlog_gc,
-            c.saturation_ops_per_sec,
-            c.serve_ops_per_sec,
-            c.p99_ns,
-            c.drain_ns,
-            c.lost_keys,
-            c.vlog_appended_bytes,
-            c.vlog_relocated_bytes,
-            c.vlog_reclaimed_bytes,
-            c.vlog_segments_retired,
-        );
-    }
-    s.push_str("\n]}\n");
-    s
+        cells.join(",\n"),
+    )
 }
 
 /// Runs the sweep and returns the artifact as a JSON string.
@@ -278,31 +275,18 @@ pub fn vlog_sweep(scale: &BenchScale) -> Result<String> {
 /// vlog update-WA at most half of inline; zero lost keys. Returns the
 /// problems; empty = valid.
 pub fn check_vlog_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{VLOG_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in [
-        "\"seed\":",
-        "\"clients\":",
-        "\"ops\":",
-        "\"segment_bytes\":",
-    ] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
-        }
-    }
-    let expected_cells = WORKLOADS.len() * 2;
-    for key in CELL_KEYS {
-        let n = content.matches(&format!("{key}:")).count();
-        if n != expected_cells {
-            problems.push(format!(
-                "key {key} appears {n} times, expected {expected_cells}"
-            ));
-        }
-    }
-    crate::push_non_finite(content, &mut problems);
+    let mut problems = crate::check_shape(
+        content,
+        VLOG_SCHEMA,
+        &[
+            "\"seed\":",
+            "\"clients\":",
+            "\"ops\":",
+            "\"segment_bytes\":",
+        ],
+        &CELL_KEYS,
+        WORKLOADS.len() * 2,
+    );
     // Headline invariants.
     for w in WORKLOADS {
         let wa = |v: bool| cell_value(content, w, v, "update_wa");
@@ -347,13 +331,7 @@ pub fn check_vlog_json(content: &str) -> Vec<String> {
 pub fn cell_value(content: &str, workload: &str, vlog: bool, key: &str) -> Option<f64> {
     let tag = format!("\"workload\":\"{workload}\",\"vlog\":{vlog},");
     let line = content.lines().find(|l| l.contains(&tag))?;
-    let pat = format!("\"{key}\":");
-    let i = line.find(&pat)?;
-    let rest = &line[i + pat.len()..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    crate::f64s_after(line, key).first().copied()
 }
 
 #[cfg(test)]
@@ -440,22 +418,8 @@ mod tests {
 
     /// Replaces one numeric field of one cell, leaving the rest intact.
     fn with_cell_value(doc: &str, workload: &str, vlog: bool, key: &str, v: &str) -> String {
-        let tag = format!("\"workload\":\"{workload}\",\"vlog\":{vlog},");
-        let pat = format!("\"{key}\":");
-        doc.lines()
-            .map(|l| match l.find(&pat) {
-                Some(i) if l.contains(&tag) => {
-                    let start = i + pat.len();
-                    let end = start
-                        + l[start..]
-                            .find(|c: char| c != '.' && !c.is_ascii_digit())
-                            .unwrap_or(l.len() - start);
-                    format!("{}{v}{}", &l[..start], &l[end..])
-                }
-                _ => l.to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+        let tag = format!("{workload}\",\"vlog\":{vlog},");
+        crate::set_in_cells(doc, "{\"workload\":\"", |c| c.starts_with(&tag), key, v)
     }
 
     #[test]

@@ -34,83 +34,40 @@ echo "seal-lint json self-check ok"
 # keep them green by name.)
 cargo test -q --test vlog_crash_points --test crash_points --test recovery_hardening
 
-# Observability artifact: produce the metrics trajectory at smoke scale
-# and schema-check it (fails on missing keys or any NaN/Inf leak).
-cargo run -q --release -p bench -- --metrics-out BENCH_pr2.json --tiny
-cargo run -q --release -p bench -- --metrics-check BENCH_pr2.json
+# Artifacts: each `--X-out F --X-check F` pair regenerates one
+# byte-deterministic BENCH_*.json and runs its Rust checker
+# (crates/bench/src/*_run.rs), which enforces the artifact's schema,
+# rejects any NaN/Inf, and gates its headline bounds:
+# - metrics (BENCH_pr2): every required metric key per store;
+# - serve (BENCH_pr3, --serving scale): SEALDB sustains strictly the
+#   highest saturation throughput of the three stores;
+# - scrub (BENCH_pr5): scrub-on cells lose ZERO keys while the scrub-off
+#   baselines lose some;
+# - replicate (BENCH_pr6): quorum-ack cells lose ZERO acked writes while
+#   the primary-only baselines lose their unshipped tail, and RTO rises
+#   strictly with link latency;
+# - shard (BENCH_pr7, --serving scale): aggregate saturation rises
+#   strictly over 1/2/4/8 shards, key placement imbalance stays within
+#   1.25, and one mid-run split loses ZERO keys;
+# - vlog (BENCH_pr8): separation cuts update-WA at every cell (>=2x on
+#   workload A), raises the saturation knee, and loses no key.
+cargo run -q --release -p bench -- --metrics-out BENCH_pr2.json --metrics-check BENCH_pr2.json --tiny
+cargo run -q --release -p bench -- --serve-out BENCH_pr3.json --serve-check BENCH_pr3.json --serving
+cargo run -q --release -p bench -- --scrub-out BENCH_pr5.json --scrub-check BENCH_pr5.json --tiny
+cargo run -q --release -p bench -- --replicate-out BENCH_pr6.json --replicate-check BENCH_pr6.json --tiny
+cargo run -q --release -p bench -- --shard-out BENCH_pr7.json --shard-check BENCH_pr7.json --serving
+cargo run -q --release -p bench -- --vlog-out BENCH_pr8.json --vlog-check BENCH_pr8.json --tiny --value 4096 --load-mb 4 --ycsb-ops 4000
 
-# Serving artifact: the canonical latency-under-load sweep, then the
-# checker — required keys, no NaN/Inf, and the headline property that
-# SEALDB sustains strictly the highest saturation throughput of the
-# three stores.
-cargo run -q --release -p bench -- --serve-out BENCH_pr3.json --serving
-cargo run -q --release -p bench -- --serve-check BENCH_pr3.json
-
-# Scrub artifact: plant latent sector errors, sweep scrub budget x fault
-# count, then check the durability invariant — scrub-on cells lose ZERO
-# keys while the scrub-off baselines lose a deterministic set (the
-# checker enforces this; the awk pass restates it as a visible gate).
-cargo run -q --release -p bench -- --scrub-out BENCH_pr5.json --tiny
-cargo run -q --release -p bench -- --scrub-check BENCH_pr5.json
-grep -o '"scrub":[a-z]*,"scrub_budget":[0-9]*,"fault_regions":[0-9]*,"lost_keys":[0-9]*' BENCH_pr5.json |
-awk -F'[:,]' '$2=="true" && $8 != 0 { printf "scrub-on cell lost %s keys\n", $8; bad=1 }
-    $2=="true" { on++ } $2=="false" { off_lost+=$8 }
-    END { if (bad) exit 1
-          if (on == 0 || off_lost == 0) { print "scrub sweep did not exercise the invariant"; exit 1 }
-          printf "scrub durability ok: %d scrub-on cells lost 0 keys, baselines lost %d\n", on, off_lost }'
-
-# Replication artifact: ship-mode x ack-policy x link-latency x kill-point
-# failover sweep, then the schema check (cell grid, RTO monotone in link
-# latency) and the headline RPO gate — every quorum-ack cell lost ZERO
-# acked writes, while the primary-only baselines lose their unshipped
-# tail (the checker enforces this; the awk pass restates it as a gate).
-cargo run -q --release -p bench -- --replicate-out BENCH_pr6.json --tiny
-cargo run -q --release -p bench -- --replicate-check BENCH_pr6.json
-grep -o '"ack":"[a-z]*","link_latency_ns":[0-9]*,"kill_after":[0-9]*,"writes":[0-9]*,"acked_writes":[0-9]*,"acked_lost":[0-9]*' BENCH_pr6.json |
-awk -F'[:,]' '{ gsub(/"/, "") }
-    $2=="quorum" && $12 != 0 { printf "quorum cell lost %s acked writes\n", $12; bad=1 }
-    $2=="quorum" { q++ } $2=="primary" { p_lost+=$12 }
-    END { if (bad) exit 1
-          if (q == 0 || p_lost == 0) { print "replication sweep did not exercise the invariant"; exit 1 }
-          printf "replication rpo ok: %d quorum cells lost 0 acked writes, primary-only baselines lost %d\n", q, p_lost }'
-
-# Shard artifact: the multi-shard scale-out sweep at the canonical
-# serving scale (1/2/4/8-shard saturation cells plus a mid-run split
-# migration), then the checker — exactly four cells whose aggregate
-# saturation rises strictly with shard count, and exactly one migration
-# cell that moved data while losing ZERO acked keys.
-cargo run -q --release -p bench -- --shard-out BENCH_pr7.json --serving
-cargo run -q --release -p bench -- --shard-check BENCH_pr7.json
-
-# Key-value-separation artifact: update-heavy YCSB A/F against inline vs
-# value-log SEALDB builds in the large-value regime, then the checker —
-# schema plus the headline gates: separation cuts update-WA strictly at
-# every cell (>=2x on workload A), sustains a strictly higher saturation
-# knee on each workload, and no cell loses a single key.
-cargo run -q --release -p bench -- --vlog-out BENCH_pr8.json --tiny --value 4096 --load-mb 4 --ycsb-ops 4000
-cargo run -q --release -p bench -- --vlog-check BENCH_pr8.json
-
-# Chaos artifact: CHAOS_SCHEDULES (default 25) seeded random fault
-# schedules over the composed stack — shard routing x replication x
-# key-value separation x SMR device faults — each followed by the
-# end-to-end durability oracle. Deliberately a DEBUG-profile run: debug
-# builds arm the ordering auditors (DESIGN.md par. 16), so every
+# Chaos artifact (BENCH_pr10): CHAOS_SCHEDULES (default 25) seeded
+# random fault schedules over the composed stack — shard routing x
+# replication x key-value separation x SMR device faults — each followed
+# by the end-to-end durability oracle. Deliberately a DEBUG-profile run:
+# debug builds arm the ordering auditors (DESIGN.md par. 16), so every
 # schedule doubles as a happens-before oracle. The artifact is
-# regenerated twice and must be byte-identical (same seeds, same
-# schedules, same report), then the schema check and a visible gate:
-# zero oracle violations and coverage spanning >=4 device and >=3
-# cluster fault classes.
-cargo run -q -p bench -- --chaos-out BENCH_pr10.json --tiny --chaos-schedules "${CHAOS_SCHEDULES:-25}"
+# regenerated twice and must be byte-identical; its checker gates zero
+# oracle violations and coverage spanning >=4 device and >=3 cluster
+# fault classes.
+cargo run -q -p bench -- --chaos-out BENCH_pr10.json --chaos-check BENCH_pr10.json --tiny --chaos-schedules "${CHAOS_SCHEDULES:-25}"
 cargo run -q -p bench -- --chaos-out BENCH_pr10.json.rerun --tiny --chaos-schedules "${CHAOS_SCHEDULES:-25}"
 cmp BENCH_pr10.json BENCH_pr10.json.rerun
 rm BENCH_pr10.json.rerun
-cargo run -q -p bench -- --chaos-check BENCH_pr10.json
-grep -o '"violations_total":[0-9]*' BENCH_pr10.json | cut -d: -f2 |
-awk '{ v=$1 } END { if (v != 0) { printf "chaos oracle reported %d violations\n", v; exit 1 }
-      print "chaos oracle ok: 0 violations" }'
-grep -o '"device":{[^}]*}' BENCH_pr10.json | tr ',' '\n' | grep -c ':' |
-awk '{ if ($1 < 4) { printf "chaos coverage spans only %d device fault classes\n", $1; exit 1 }
-       printf "chaos device coverage ok: %d classes\n", $1 }'
-grep -o '"cluster":{[^}]*}' BENCH_pr10.json | tr ',' '\n' | grep -c ':' |
-awk '{ if ($1 < 3) { printf "chaos coverage spans only %d cluster fault classes\n", $1; exit 1 }
-       printf "chaos cluster coverage ok: %d classes\n", $1 }'
